@@ -1,7 +1,7 @@
 # Tier-1 gate (see ROADMAP.md): every PR must leave `make check` green.
-.PHONY: check build test vet race bench chaos errgate fmtgate plugate ringgate shedgate ctrgate armgate tiergate trace bench-json bench-parallel bench-batch bench-serve bench-overload bench-score bench-predict bench-tier
+.PHONY: check build test vet race bench chaos errgate fmtgate plugate shedgate ctrgate armgate tiergate trace bench-json bench-parallel bench-batch
 
-check: vet errgate fmtgate plugate ringgate shedgate ctrgate armgate tiergate build race
+check: vet errgate fmtgate plugate shedgate ctrgate armgate tiergate build race
 
 # Formatting gate: the tree must be gofmt-clean.
 fmtgate:
@@ -26,15 +26,6 @@ plugate:
 		internal/vfs/vfs.go internal/vfs/io.go internal/vfs/crossos.go internal/vfs/mmap.go \
 		internal/vfs/ring.go \
 		|| (echo 'plugate: read-path device access outside the plug API'; exit 1)
-
-# Ring-API gate: the serve frontend must dispatch through the
-# submission/completion rings (Prep*/Submit/Reap), never by calling the
-# synchronous read/write shims directly. The sync baseline lives in
-# serve_baseline.go, which IS the deliberate exemption.
-ringgate:
-	@! grep -n '\.ReadAt(\|\.WriteAt(' \
-		internal/experiments/serve.go cmd/crosserve/main.go \
-		|| (echo 'ringgate: direct read/write call on the ring frontend (use the Ring API)'; exit 1)
 
 # Shed-sentinel gate: every shed/deadline refusal on the ring path must
 # be one of the exported sentinels (vfs.ErrShed, vfs.ErrDeadlineExceeded)
@@ -124,52 +115,3 @@ bench-batch:
 		-bench 'BenchmarkBatch' -pkg . -benchtime 3x
 	go run ./cmd/benchjson -out BENCH_PR5.json -append -label warm-read \
 		-bench 'BenchmarkTraceOffReadAt' -pkg .
-
-# Serve-frontend sweep: the sync and ring dispatch paths across 1/8/64
-# tenants at identical replay schedules — achieved dispatch depth,
-# kernel crossings per op, and tail latency per cell, with the
-# cross-layer telemetry audit enforced on every system.
-bench-serve:
-	go run ./cmd/crosserve -sweep -json BENCH_PR6.json
-
-# Overload-resilience sweep: zipfian victims vs a full-file-scan
-# antagonist across the five policy cells (isolated / no-budget / budget
-# / budget+brownout / budget+deadline). Every cell byte-verifies, passes
-# the telemetry audit including the exact per-tenant residency partition,
-# is re-run and digest-compared for determinism, and the budgeted cells
-# must hold victim p99 within 2x the isolated baseline.
-bench-overload:
-	go run ./cmd/crosserve -mode overload -tenants 4 -ops 200 -file-mb 16 \
-		-sweep -json BENCH_PR7.json
-
-# Scorecard sweep: one cell per access pattern (sequential / strided /
-# zipfian / shared-file), each run twice with byte-identical scorecard
-# JSON enforced, the scorecard<->recorder per-origin partition audited,
-# and the sequential-vs-zipfian accuracy discrimination asserted.
-bench-score:
-	go run ./cmd/crosserve -mode score -file-mb 64 -iosize 65536 -ops 512 \
-		-sessions 4 -json BENCH_PR8.json
-
-# Predictor-ensemble sweep: sequential / zipfian-LSM / interleaved-shared,
-# each replayed through the fixed sequentiality counter and the competing
-#-arm ensemble. Every cell is byte-verified, audit-reconciled (per-arm
-# issued/used/wasted partitions the ring-prefetch origin exactly), re-run
-# with digest comparison for determinism, and the ensemble contract is
-# asserted: beat the counter on zipfian-LSM warm hit rate AND pages/s,
-# concede at most 2% on pure sequential.
-bench-predict:
-	go run ./cmd/crosserve -mode predict -file-mb 16 -iosize 16384 -ops 2048 \
-		-json BENCH_PR9.json
-
-# Tiered-stack sweep: the device-stack grid (RAID-0 width 1/2, half-remote
-# NVMe-oF tier, cross-tier prefetch on/off, capped local tier) under
-# sequential / zipfian-LSM / shared-file access. Every cell is
-# byte-verified, audit-reconciled down to the exact per-backend
-# command/byte partition, re-run with digest comparison for determinism,
-# and the contracts are asserted: width-2 sequential throughput >= 1.7x
-# width-1, cross-tier prefetch holds >= 70% of the all-local warm hit
-# rate on the half-remote dataset, and tiered-with-prefetch beats
-# prefetch-off tiered on warm p99 read latency.
-bench-tier:
-	go run ./cmd/crosserve -mode tier -file-mb 16 -iosize 16384 -ops 2048 \
-		-json BENCH_PR10.json

@@ -5,6 +5,15 @@
 //	crossbench -list
 //	crossbench -exp fig7a [-scale 8] [-seed 1] [-csv out.csv]
 //	crossbench -exp all [-quick]
+//	crossbench -exp overload -admin localhost:9090
+//
+// -admin serves the live observability plane while the run lasts, for
+// the system the running experiment built last (cells swap under one
+// listener): /metrics (Prometheus text), /scorecards (effectiveness JSON
+// with interval deltas, ?tenant= / ?inode=), /predictors (the live
+// per-inode predictor-arm table), /tiers (per-backend occupancy and the
+// extent heat table), /tracez (slowest retained spans), and
+// /debug/pprof. The listener drains with a bounded timeout on exit.
 package main
 
 import (
@@ -16,6 +25,10 @@ import (
 	"runtime/pprof"
 	"time"
 
+	crossprefetch "repro"
+	"repro/internal/admin"
+	"repro/internal/blockdev"
+	"repro/internal/crosslib"
 	"repro/internal/experiments"
 	"repro/internal/telemetry"
 )
@@ -34,6 +47,55 @@ func writeProfile(name, path string) {
 		os.Exit(1)
 	}
 	fmt.Printf("%s profile: wrote %s (inspect with `go tool pprof %s`)\n", name, path, path)
+}
+
+// startAdmin brings up the live admin plane on addr, reading whichever
+// system the running experiment built last. The returned stop function
+// drains the listener with a bounded timeout.
+func startAdmin(addr string) func() {
+	live := func() *crossprefetch.System { return experiments.Live() }
+	srv, err := admin.Start(addr, admin.Config{
+		Snapshot: func() *telemetry.Snapshot {
+			if s := live(); s != nil {
+				return s.Telemetry().Snapshot()
+			}
+			return nil
+		},
+		Scorecard: func() *telemetry.ScorecardSnapshot {
+			if s := live(); s != nil {
+				return s.Scorecard().Snapshot()
+			}
+			return nil
+		},
+		Tracer: func() *telemetry.Tracer {
+			if s := live(); s != nil {
+				return s.Tracer()
+			}
+			return nil
+		},
+		Predictors: func() []crosslib.PredictorRow {
+			if s := live(); s != nil {
+				return s.Lib().PredictorTable()
+			}
+			return nil
+		},
+		Tiers: func() *blockdev.Stack {
+			if s := live(); s != nil {
+				return s.Stack()
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "crossbench:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("admin plane on http://%s (/metrics /scorecards /predictors /tiers /tracez /debug/pprof)\n", srv.Addr())
+	return func() {
+		if err := srv.Shutdown(); err != nil {
+			fmt.Fprintln(os.Stderr, "crossbench: admin shutdown:", err)
+		}
+	}
 }
 
 // telemetryRecord is one audited system in the -telemetry-json output.
@@ -67,6 +129,8 @@ func main() {
 		plug        = flag.Bool("plug", false, "enable the block-layer submission scheduler (plugging/merging) for every system")
 		qd          = flag.Int("qd", 0, "device queue depth under -plug (0 = default 32)")
 		mergeWindow = flag.Int64("merge-window", 0, "max merged command bytes under -plug (0 = default 8MB)")
+
+		adminAddr = flag.String("admin", "", "serve the live admin plane (/metrics /scorecards /predictors /tiers /tracez /debug/pprof) on this address while the run lasts")
 	)
 	flag.Parse()
 
@@ -109,7 +173,7 @@ func main() {
 		csvOut = f
 	}
 
-	if *telJSON != "" || *prom != "" {
+	if *telJSON != "" || *prom != "" || *adminAddr != "" {
 		*tel = true
 	}
 	tracing := *trace != "" || *traceReport
@@ -130,6 +194,10 @@ func main() {
 			PerInode:    *traceInode,
 			Seed:        *seed,
 		})
+	}
+
+	if *adminAddr != "" {
+		defer startAdmin(*adminAddr)()
 	}
 
 	var telRecords []telemetryRecord

@@ -5,12 +5,12 @@
 // by ?tenant= / ?inode=), the predictor ensemble's live arm table
 // (/predictors), the device stack's tier view (/tiers: per-backend
 // occupancy, promotion/demotion totals, extent heat table), the span
-// flight recorder's slowest retained roots
-// (/tracez), and the standard Go profiling endpoints (/debug/pprof). The server reads live state
-// through provider callbacks so it can outlive any single System (the
-// crosserve sweep swaps systems per cell under one admin listener) and
-// shuts down with a bounded drain so experiments stay leak-free under
-// the race detector.
+// flight recorder's slowest retained roots (/tracez), and the standard
+// Go profiling endpoints (/debug/pprof). The server reads live state
+// through provider callbacks so it can outlive any single System
+// (crossbench -admin follows each experiment cell's freshly built system
+// under one listener) and shuts down with a bounded drain so experiments
+// stay leak-free under the race detector.
 package admin
 
 import (

@@ -51,10 +51,15 @@ func (it *RunIter) Next() (r Run, ok bool) {
 		return Run{}, false
 	}
 	end := it.seek(start+1, !it.want)
-	if end > it.hi {
+	if end >= it.hi {
 		end = it.hi
+		it.pos = it.hi
+	} else {
+		// The bit at end was already observed as !want: resume past it.
+		// Reloading it would let a concurrent writer flip it and split
+		// one maximal run into two touching runs.
+		it.pos = end + 1
 	}
-	it.pos = end
 	return Run{start, end}, true
 }
 

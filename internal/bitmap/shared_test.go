@@ -254,3 +254,40 @@ func TestRunIterZeroAlloc(t *testing.T) {
 		t.Fatalf("Bitmap AppendPresentRuns allocates %v per run, want 0", n)
 	}
 }
+
+// TestRunIterResumesPastObservedBoundary flips the bit that ended one
+// run between two Next calls. The iterator already observed that bit,
+// so it must resume past it: the next run may not touch the previous
+// one.
+func TestRunIterResumesPastObservedBoundary(t *testing.T) {
+	for _, present := range []bool{false, true} {
+		var s Shared
+		s.SetRange(0, 256)
+		s.ClearRange(10, 11)
+		if !present {
+			s.ClearRange(0, 256)
+			s.SetRange(10, 11)
+		}
+		it := s.MissingIter(0, 256)
+		if present {
+			it = s.PresentIter(0, 256)
+		}
+		first, ok := it.Next()
+		if !ok || first != (Run{0, 10}) {
+			t.Fatalf("present=%v: first run %v (ok=%v), want [0,10)", present, first, ok)
+		}
+		// The boundary bit flips to the iterated value mid-iteration.
+		if present {
+			s.SetRange(10, 11)
+		} else {
+			s.ClearRange(10, 11)
+		}
+		second, ok := it.Next()
+		if !ok {
+			t.Fatalf("present=%v: no second run", present)
+		}
+		if second.Lo <= first.Hi {
+			t.Fatalf("present=%v: runs %v and %v touch", present, first, second)
+		}
+	}
+}

@@ -33,7 +33,7 @@ func Fig8b(o Options) (*Table, error) {
 		var base float64
 		for _, a := range microApproaches {
 			res, err := filebench.Run(filebench.Config{
-				Sys:                newSys(sysConfig{approach: a, memory: mem}),
+				Sys:                newSys(crossprefetch.Config{Approach: a, MemoryBytes: mem}),
 				Profile:            p,
 				Instances:          instances,
 				ThreadsPerInstance: 2,
@@ -85,7 +85,7 @@ func Fig9a(o Options) (*Table, error) {
 		var base float64
 		for _, a := range approaches {
 			res, err := ycsb.Run(w, ycsb.Config{
-				Sys:          newSys(sysConfig{approach: a, memory: mem}),
+				Sys:          newSys(crossprefetch.Config{Approach: a, MemoryBytes: mem}),
 				DB:           dbOptions(),
 				Records:      records,
 				ValueBytes:   4096,
@@ -138,7 +138,7 @@ func Fig9b(o Options) (*Table, error) {
 		var base float64
 		for _, a := range microApproaches {
 			res, err := snappy.RunApp(snappy.AppConfig{
-				Sys:       newSys(sysConfig{approach: a, memory: dataset / r.den}),
+				Sys:       newSys(crossprefetch.Config{Approach: a, MemoryBytes: dataset / r.den}),
 				Files:     files,
 				FileBytes: fileBytes,
 				Threads:   threads,

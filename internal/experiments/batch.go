@@ -77,12 +77,12 @@ func Batch(o Options) (*Table, error) {
 	var baseCmds float64
 	for _, c := range cells {
 		res, err := workload.RunMicro(workload.MicroConfig{
-			Sys: newSys(sysConfig{
-				approach:   crossprefetch.CrossFetchAllOpt,
-				memory:     mem,
-				plug:       c.plug,
-				queueDepth: c.qd,
-				congestion: simtime.Second,
+			Sys: newSys(crossprefetch.Config{
+				Approach:        crossprefetch.CrossFetchAllOpt,
+				MemoryBytes:     mem,
+				Plug:            c.plug,
+				QueueDepth:      c.qd,
+				CongestionLimit: simtime.Second,
 			}),
 			Threads:    threads,
 			IOSize:     16 << 10,

@@ -10,10 +10,9 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync/atomic"
 
 	crossprefetch "repro"
-	"repro/internal/blockdev"
-	"repro/internal/simtime"
 )
 
 // Options controls experiment sizing.
@@ -114,35 +113,20 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // Runner executes one experiment.
 type Runner func(Options) (*Table, error)
 
-// sysConfig bundles the per-cell system parameters.
-type sysConfig struct {
-	approach crossprefetch.Approach
-	memory   int64
-	layout   crossprefetch.Layout
-	device   blockdev.Config
-	raMax    int64 // kernel prefetch limit bytes (0 = 128KB default)
-	// Block-layer submission scheduler (per-cell; the EnableBlockSched
-	// process switch overrides these for sweeps driven by crossbench).
-	plug        bool
-	queueDepth  int
-	mergeWindow int64
-	congestion  simtime.Duration
-}
+// live is the most recently built experiment system: the one a live
+// admin plane observes (crossbench -admin).
+var live atomic.Pointer[crossprefetch.System]
 
-func newSys(c sysConfig) *crossprefetch.System {
-	cfg := crossprefetch.Config{
-		Approach:         c.approach,
-		MemoryBytes:      c.memory,
-		Layout:           c.layout,
-		KernelRAMaxBytes: c.raMax,
-		Plug:             c.plug,
-		QueueDepth:       c.queueDepth,
-		MergeWindowBytes: c.mergeWindow,
-		CongestionLimit:  c.congestion,
-	}
-	if c.device.Name != "" {
-		cfg.Device = c.device
-	}
+// Live returns the system the running experiment built last, or nil
+// before the first one.
+func Live() *crossprefetch.System { return live.Load() }
+
+// newSys is the one constructor every experiment system goes through, so
+// the process-wide switches (block scheduler, telemetry, tracing) and the
+// live-system pointer reach every cell. The EnableBlockSched switch
+// overrides the cell's own scheduler settings; telemetry is on when
+// either the cell or the switch asks for it.
+func newSys(cfg crossprefetch.Config) *crossprefetch.System {
 	if sc := blockSched(); sc != nil {
 		cfg.Plug = sc.Plug
 		if sc.QueueDepth > 0 {
@@ -152,7 +136,8 @@ func newSys(c sysConfig) *crossprefetch.System {
 			cfg.MergeWindowBytes = sc.MergeWindowBytes
 		}
 	}
-	cfg.Telemetry = telemetryEnabled()
+	registered := telemetryEnabled()
+	cfg.Telemetry = cfg.Telemetry || registered
 	if tc := traceConfig(); tc != nil {
 		cfg.Trace = true
 		cfg.TraceSampleEvery = tc.SampleEvery
@@ -160,8 +145,9 @@ func newSys(c sysConfig) *crossprefetch.System {
 		cfg.TraceSeed = tc.Seed
 	}
 	sys := crossprefetch.NewSystem(cfg)
-	if cfg.Telemetry {
-		registerTelemetry(sysLabel(c), sys)
+	live.Store(sys)
+	if registered {
+		registerTelemetry(sysLabel(cfg), sys)
 	}
 	return sys
 }

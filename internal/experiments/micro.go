@@ -47,7 +47,7 @@ func Fig5(o Options) (*Table, error) {
 		var base float64
 		for _, a := range microApproaches {
 			res, err := workload.RunMicro(workload.MicroConfig{
-				Sys:        newSys(sysConfig{approach: a, memory: mem}),
+				Sys:        newSys(crossprefetch.Config{Approach: a, MemoryBytes: mem}),
 				Threads:    threads,
 				IOSize:     16 << 10,
 				TotalBytes: total,
@@ -92,7 +92,7 @@ func Fig6(o Options) (*Table, error) {
 	for _, readers := range readerCounts {
 		for _, a := range microApproaches {
 			res, err := workload.RunMicro(workload.MicroConfig{
-				Sys:        newSys(sysConfig{approach: a, memory: mem}),
+				Sys:        newSys(crossprefetch.Config{Approach: a, MemoryBytes: mem}),
 				Threads:    readers,
 				Writers:    4,
 				IOSize:     16 << 10,
@@ -136,7 +136,7 @@ func Table4(o Options) (*Table, error) {
 	}{{"readseq", true}, {"readrandom", false}} {
 		for _, a := range approaches {
 			res, err := workload.RunMmap(workload.MmapConfig{
-				Sys:        newSys(sysConfig{approach: a, memory: mem}),
+				Sys:        newSys(crossprefetch.Config{Approach: a, MemoryBytes: mem}),
 				Threads:    threads,
 				TotalBytes: total,
 				Sequential: mode.seq,

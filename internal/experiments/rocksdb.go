@@ -37,7 +37,7 @@ func dbOptions() lsm.Options {
 }
 
 // runDBCell executes one (approach, workload, threads) cell.
-func runDBCell(o Options, p dbParams, cfg sysConfig, w lsm.Workload, threads int) (lsm.BenchResult, error) {
+func runDBCell(o Options, p dbParams, cfg crossprefetch.Config, w lsm.Workload, threads int) (lsm.BenchResult, error) {
 	ops := p.keys / int64(threads) / p.opsFactor
 	if ops < 64 {
 		ops = 64
@@ -75,7 +75,7 @@ func Fig2(o Options) (*Table, error) {
 		crossprefetch.AppOnly, crossprefetch.AppOnlyFincore,
 		crossprefetch.OSOnly, crossprefetch.CrossPredictOpt,
 	} {
-		res, err := runDBCell(o, p, sysConfig{approach: a, memory: p.memory}, lsm.MultiReadRandom, threads)
+		res, err := runDBCell(o, p, crossprefetch.Config{Approach: a, MemoryBytes: p.memory}, lsm.MultiReadRandom, threads)
 		if err != nil {
 			return nil, err
 		}
@@ -110,7 +110,7 @@ func Fig7a(o Options) (*Table, error) {
 	for _, threads := range threadCounts {
 		var base float64
 		for _, a := range dbApproaches {
-			res, err := runDBCell(o, p, sysConfig{approach: a, memory: p.memory}, lsm.MultiReadRandom, threads)
+			res, err := runDBCell(o, p, crossprefetch.Config{Approach: a, MemoryBytes: p.memory}, lsm.MultiReadRandom, threads)
 			if err != nil {
 				return nil, err
 			}
@@ -147,7 +147,7 @@ func patternTable(o Options, id, title string, layout crossprefetch.Layout, dev 
 		var base float64
 		for _, a := range dbApproaches {
 			res, err := runDBCell(o, p,
-				sysConfig{approach: a, memory: p.memory, layout: layout, device: dev}, w, threads)
+				crossprefetch.Config{Approach: a, MemoryBytes: p.memory, Layout: layout, Device: dev}, w, threads)
 			if err != nil {
 				return nil, err
 			}
@@ -202,7 +202,7 @@ func Fig7c(o Options) (*Table, error) {
 	for _, r := range ratios {
 		for _, a := range dbApproaches {
 			mem := dbBytes / r.den
-			res, err := runDBCell(o, p, sysConfig{approach: a, memory: mem}, lsm.MultiReadRandom, threads)
+			res, err := runDBCell(o, p, crossprefetch.Config{Approach: a, MemoryBytes: mem}, lsm.MultiReadRandom, threads)
 			if err != nil {
 				return nil, err
 			}
@@ -234,7 +234,7 @@ func Table5(o Options) (*Table, error) {
 		crossprefetch.CrossVisibilityRangeTree,
 		crossprefetch.CrossPredictOpt,
 	} {
-		res, err := runDBCell(o, p, sysConfig{approach: a, memory: p.memory}, lsm.MultiReadRandom, threads)
+		res, err := runDBCell(o, p, crossprefetch.Config{Approach: a, MemoryBytes: p.memory}, lsm.MultiReadRandom, threads)
 		if err != nil {
 			return nil, err
 		}
@@ -269,7 +269,7 @@ func Fig10(o Options) (*Table, error) {
 			crossprefetch.AppOnly, crossprefetch.OSOnly, crossprefetch.CrossPredictOpt,
 		} {
 			res, err := runDBCell(o, p,
-				sysConfig{approach: a, memory: p.memory, raMax: lim}, lsm.MultiReadRandom, threads)
+				crossprefetch.Config{Approach: a, MemoryBytes: p.memory, KernelRAMaxBytes: lim}, lsm.MultiReadRandom, threads)
 			if err != nil {
 				return nil, err
 			}

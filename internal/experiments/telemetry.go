@@ -104,12 +104,12 @@ func DrainTelemetry() []TelemetryResult {
 	return out
 }
 
-func sysLabel(c sysConfig) string {
-	l := fmt.Sprintf("%v/%s", c.approach, mb(c.memory))
-	if c.device.Name != "" {
-		l += "/" + c.device.Name
+func sysLabel(c crossprefetch.Config) string {
+	l := fmt.Sprintf("%v/%s", c.Approach, mb(c.MemoryBytes))
+	if c.Device.Name != "" {
+		l += "/" + c.Device.Name
 	}
-	if c.plug {
+	if c.Plug {
 		l += "/plug"
 	}
 	return l

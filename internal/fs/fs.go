@@ -431,13 +431,16 @@ func (f *FS) writeBlockData(phys, off int64, data []byte) {
 
 func (f *FS) copyBlock(from, to int64) {
 	s := f.shard(from)
+	dst := make([]byte, f.blockSize)
+	// A materialized block is copied under the shard lock: writeBlockData
+	// mutates it in place under the same lock.
 	s.mu.RLock()
 	src := s.blocks[from]
-	s.mu.RUnlock()
-	dst := make([]byte, f.blockSize)
 	if src != nil {
 		copy(dst, src)
-	} else {
+	}
+	s.mu.RUnlock()
+	if src == nil {
 		fillSynthetic(dst, from)
 	}
 	d := f.shard(to)
@@ -456,12 +459,15 @@ func (f *FS) readBlockData(phys, off int64, dst []byte) {
 	s := f.shard(phys)
 	s.mu.RLock()
 	blk := s.blocks[phys]
+	if blk != nil {
+		// Copy under the lock: writeBlockData mutates materialized
+		// blocks in place. Synthetic (nil) blocks fill lock-free.
+		copy(dst, blk[off:])
+	}
 	s.mu.RUnlock()
 	if blk == nil {
 		fillSyntheticAt(dst, phys, off)
-		return
 	}
-	copy(dst, blk[off:])
 }
 
 // fillSynthetic writes the deterministic filler pattern for an

@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -256,6 +257,48 @@ func TestWriteReadProperty(t *testing.T) {
 		}
 		if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 			t.Fatalf("%s: %v", layout, err)
+		}
+	}
+}
+
+// TestConcurrentReadWriteMaterializedBlock overwrites one materialized
+// block in place while readers copy it out. Every read must see one
+// whole write (all bytes equal), and under -race the copy-out must not
+// race the in-place write.
+func TestConcurrentReadWriteMaterializedBlock(t *testing.T) {
+	f := newTestFS(LayoutExtent)
+	ino, _ := f.Create(nil, "f")
+	ino.WriteAt(make([]byte, 4096), 0)
+
+	done := make(chan struct{})
+	errs := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		go func() {
+			got := make([]byte, 4096)
+			for {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				ino.ReadAt(got, 0)
+				for _, b := range got {
+					if b != got[0] {
+						errs <- fmt.Errorf("torn read: %d then %d", got[0], b)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		ino.WriteAt(bytes.Repeat([]byte{byte(i)}, 4096), 0)
+	}
+	close(done)
+	for r := 0; r < 2; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
 }
