@@ -82,9 +82,13 @@ race:
 	go test -race ./...
 
 # Fault-plan sweep under the race detector: the chaos harness plus every
-# fault-injection, retry/backoff, and circuit-breaker test.
+# fault-injection, retry/backoff, and circuit-breaker test; then a bounded
+# smoke of each differential fuzz target (seed corpora live under
+# testdata/fuzz and also run as plain tests in `check`).
 chaos:
 	go test -race -run 'Chaos|Fault|Breaker|Retry|Inject|Transient|Poison|Dirty' ./...
+	go test -run '^$$' -fuzz '^FuzzFillSyntheticAt$$' -fuzztime=10s ./internal/fs
+	go test -run '^$$' -fuzz '^FuzzSharedCopyRange$$' -fuzztime=10s ./internal/bitmap
 
 bench:
 	go test -bench=. -benchmem -run=^$$

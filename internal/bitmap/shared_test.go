@@ -291,3 +291,63 @@ func TestRunIterResumesPastObservedBoundary(t *testing.T) {
 		}
 	}
 }
+
+// bitsFrom sets bit 8k+j of set for every set bit j of data[k].
+func bitsFrom(data []byte, set func(int64) bool) {
+	for k, by := range data {
+		for j := 0; j < 8; j++ {
+			if by&(1<<j) != 0 {
+				set(int64(k*8 + j))
+			}
+		}
+	}
+}
+
+// FuzzSharedCopyRange pins the invariant that makes export snapshots
+// reusable: copying [lo, hi) of a Shared bitmap into a dst that already
+// holds arbitrary bits yields exactly a fresh dst's bits inside the
+// window, leaves every bit outside it untouched, and keeps Count exact.
+func FuzzSharedCopyRange(f *testing.F) {
+	f.Fuzz(func(t *testing.T, srcBits, priorBits []byte, lo, n uint16) {
+		// 4K-bit bitmaps and 8K-bit windows cover every word-edge case
+		// while keeping each execution cheap.
+		const maxBytes, maxWindow = 512, 8192
+		srcBits, priorBits = srcBits[:min(len(srcBits), maxBytes)], priorBits[:min(len(priorBits), maxBytes)]
+		lo, n = lo%maxWindow, n%maxWindow
+		src := &Shared{}
+		bitsFrom(srcBits, src.Set)
+		prior, reused := New(0), New(0)
+		bitsFrom(priorBits, prior.Set)
+		bitsFrom(priorBits, reused.Set)
+		fresh := New(0)
+		wlo, whi := int64(lo), int64(lo)+int64(n)
+		src.CopyRange(reused, wlo, whi)
+		src.CopyRange(fresh, wlo, whi)
+
+		end := reused.Len()
+		if l := prior.Len(); l > end {
+			end = l
+		}
+		var count int64
+		for i := int64(0); i < end; i++ {
+			got := reused.Test(i)
+			if got {
+				count++
+			}
+			if i >= wlo && i < whi {
+				if got != fresh.Test(i) || got != src.Test(i) {
+					t.Fatalf("bit %d in window [%d,%d): reused %v, fresh %v, src %v",
+						i, wlo, whi, got, fresh.Test(i), src.Test(i))
+				}
+			} else if got != prior.Test(i) {
+				t.Fatalf("bit %d outside window [%d,%d) changed to %v", i, wlo, whi, got)
+			}
+		}
+		if reused.Count() != count {
+			t.Fatalf("Count() = %d, %d bits set", reused.Count(), count)
+		}
+		if want := prior.Count() - prior.CountRange(wlo, whi) + src.CountRange(wlo, whi); count != want {
+			t.Fatalf("%d bits set, want prior outside window + src inside = %d", count, want)
+		}
+	})
+}

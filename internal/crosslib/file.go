@@ -643,27 +643,24 @@ func (f *File) issueVectored(wtl *simtime.Timeline, kf *vfs.File, sf *sharedFile
 
 	for attempt := 0; ; {
 		rt.rec.Add(telemetry.CtrLibIssuedPages, total)
-		snap := bitmap.New(0)
-		info := kf.ReadaheadInfo(wtl, req, snap)
-		rt.prefetchCalls.Add(1)
-		rt.prefetchedPgs.Add(info.PrefetchedPages)
-
 		// Reconcile each range against the kernel's reply: the exported
 		// bitmap is truth for the granted prefix; a clamped remainder
 		// gives its requested bits back (one window per intent, exactly
 		// as the scalar path behaves without opt).
-		for i, r := range runs {
-			g := int64(0)
-			if i < len(info.Granted) {
-				g = info.Granted[i]
+		info := rt.readaheadInfo(wtl, kf, req, func(snap *bitmap.Bitmap, info vfs.CacheInfo) {
+			for i, r := range runs {
+				g := int64(0)
+				if i < len(info.Granted) {
+					g = info.Granted[i]
+				}
+				if g > 0 {
+					sf.tree.ImportBitmap(wtl, snap, r.Lo, min64(r.Lo+g, r.Hi))
+				}
+				if r.Lo+g < r.Hi {
+					sf.tree.ClearRequested(wtl, r.Lo+g, r.Hi)
+				}
 			}
-			if g > 0 {
-				sf.tree.ImportBitmap(wtl, snap, r.Lo, min64(r.Lo+g, r.Hi))
-			}
-			if r.Lo+g < r.Hi {
-				sf.tree.ClearRequested(wtl, r.Lo+g, r.Hi)
-			}
-		}
+		})
 
 		if err := info.PrefetchErr; err != nil {
 			if blockdev.IsTransient(err) && attempt < o.RetryMax {
@@ -690,6 +687,31 @@ func (f *File) issueVectored(wtl *simtime.Timeline, kf *vfs.File, sf *sharedFile
 		}
 		return
 	}
+}
+
+// readaheadInfo performs one readahead_info crossing, exporting the
+// request's bitmap window into a pooled snapshot, and hands the snapshot
+// to reconcile before pooling it again. A pooled snapshot is always
+// all-zero: the export writes only inside [BitmapLo, BitmapHi), which is
+// cleared again after reconcile, so no bit of an earlier crossing can
+// reach ImportBitmap — not even past EOF, where the export stops short of
+// the window. A snapshot keeps its size across crossings, so a window
+// deep in a large file no longer allocates a bitmap from block 0 up.
+func (rt *Runtime) readaheadInfo(wtl *simtime.Timeline, kf *vfs.File, req vfs.CacheInfoRequest, reconcile func(snap *bitmap.Bitmap, info vfs.CacheInfo)) vfs.CacheInfo {
+	snap, _ := rt.snapshots.Get().(*bitmap.Bitmap)
+	if snap == nil {
+		snap = bitmap.New(0)
+	}
+	info := kf.ReadaheadInfo(wtl, req, snap)
+	rt.prefetchCalls.Add(1)
+	rt.prefetchedPgs.Add(info.PrefetchedPages)
+	reconcile(snap, info)
+
+	snap.ClearRange(req.BitmapLo, req.BitmapHi)
+	if snap.Count() == 0 {
+		rt.snapshots.Put(snap)
+	}
+	return info
 }
 
 // mergeRun inserts r into a sorted, disjoint run list, coalescing
@@ -756,19 +778,16 @@ func (f *File) issuePrefetch(wtl *simtime.Timeline, kf *vfs.File, sf *sharedFile
 			req.LimitOverride = hi - pos
 		}
 		rt.rec.Add(telemetry.CtrLibIssuedPages, hi-pos)
-		snap := bitmap.New(0)
-		info := kf.ReadaheadInfo(wtl, req, snap)
-		rt.prefetchCalls.Add(1)
-		rt.prefetchedPgs.Add(info.PrefetchedPages)
-
 		// Reconcile: the exported bitmap is the kernel's truth for
 		// [pos, pos+granted) — including prefetched pages, minus
 		// anything congestion control postponed or a device fault
 		// aborted (both stay missing in the tree and can be retried).
+		info := rt.readaheadInfo(wtl, kf, req, func(snap *bitmap.Bitmap, info vfs.CacheInfo) {
+			if granted := info.RequestedPages; granted > 0 {
+				sf.tree.ImportBitmap(wtl, snap, pos, pos+granted)
+			}
+		})
 		granted := info.RequestedPages
-		if granted > 0 {
-			sf.tree.ImportBitmap(wtl, snap, pos, pos+granted)
-		}
 
 		if err := info.PrefetchErr; err != nil {
 			if blockdev.IsTransient(err) && attempt < o.RetryMax {

@@ -28,6 +28,10 @@ type Runtime struct {
 
 	evictMu sync.Mutex // serializes budget enforcement passes
 
+	// snapshots pools all-zero readahead_info export bitmaps (see
+	// readaheadInfo).
+	snapshots sync.Pool
+
 	// rec, when non-nil, receives the prefetch decision trace and the
 	// library-side accounting counters (telemetry opt-in).
 	rec *telemetry.Recorder

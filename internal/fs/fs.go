@@ -475,26 +475,26 @@ func (f *FS) readBlockData(phys, off int64, dst []byte) {
 func fillSynthetic(dst []byte, phys int64) { fillSyntheticAt(dst, phys, 0) }
 
 // fillSyntheticAt generates byte pos as byte((x >> (8*(pos%8))) ^ pos).
-// It runs on every copy-out of never-written file content, so the bulk is
-// done a word at a time: for pos aligned to 8, the eight pattern bytes are
-// byte(x>>8j) ^ (byte(pos)+j) with no per-lane carry, i.e. one 64-bit
-// xor/add against precomputable lane constants.
+// It runs on every copy-out of never-written file content. Both terms
+// depend only on pos%256, so the pattern has period 256: one period is
+// built a word at a time (for pos aligned to 8, the eight pattern bytes
+// are byte(x>>8j) ^ (byte(pos)+j) with no per-lane carry, i.e. one
+// 64-bit xor/add against lane constants), and dst is filled by copying
+// that period, doubling the copied prefix each step.
 func fillSyntheticAt(dst []byte, phys, off int64) {
 	x := uint64(phys)*0x9e3779b97f4a7c15 + 1
-	pos := uint64(off)
-	i := 0
-	for ; i < len(dst) && pos%8 != 0; i++ {
-		dst[i] = byte((x >> (8 * (pos % 8))) ^ pos)
-		pos++
-	}
 	const lanes = 0x0101010101010101
 	const laneIdx = 0x0706050403020100
-	for ; i+8 <= len(dst); i, pos = i+8, pos+8 {
-		binary.LittleEndian.PutUint64(dst[i:], x^(laneIdx+lanes*uint64(byte(pos))))
+	var period [256]byte
+	for j := 0; j < len(period); j += 8 {
+		binary.LittleEndian.PutUint64(period[j:], x^(laneIdx+lanes*uint64(j)))
 	}
-	for ; i < len(dst); i++ {
-		dst[i] = byte((x >> (8 * (pos % 8))) ^ pos)
-		pos++
+	start := uint64(off) % uint64(len(period))
+	n := copy(dst, period[start:])
+	n += copy(dst[n:], period[:start])
+	// dst[:n] now holds whole periods, so it repeats itself from n on.
+	for n < len(dst) {
+		n += copy(dst[n:], dst[:n])
 	}
 }
 
