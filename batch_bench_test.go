@@ -69,7 +69,7 @@ func runPlugBench(b *testing.B, shared bool, stride int64, plugged bool, qd int)
 			})
 		}
 		g.Wait()
-		st := sys.Device().Stats()
+		st := sys.Stack().Stats()
 		cmds = float64(st.ReadOps)
 		merged = float64(st.MergedSegments)
 		bytes = float64(st.ReadBytes)

@@ -297,10 +297,6 @@ func (s *System) Kernel() *vfs.VFS { return s.kernel }
 // Lib exposes the CROSS-LIB runtime (advanced use).
 func (s *System) Lib() *crosslib.Runtime { return s.lib }
 
-// Device exposes the first block device of the stack — the whole device
-// when the system is unstriped and untiered (compat accessor).
-func (s *System) Device() *blockdev.Device { return s.dev.Member(0) }
-
 // Stack exposes the composed device stack (striping/tier accessors,
 // per-member stats).
 func (s *System) Stack() *blockdev.Stack { return s.dev }

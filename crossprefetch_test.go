@@ -81,8 +81,8 @@ func TestRemoteDeviceConfig(t *testing.T) {
 		Device:      blockdev.RemoteNVMeConfig(),
 		MemoryBytes: 16 << 20,
 	})
-	if sys.Device().Config().Name != "nvmeof0" {
-		t.Fatalf("device = %s", sys.Device().Config().Name)
+	if name := sys.Stack().Stats().Name; name != "nvmeof0" {
+		t.Fatalf("device = %s", name)
 	}
 }
 

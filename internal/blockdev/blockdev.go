@@ -291,6 +291,64 @@ func (d *Device) account(op Op, bytes int64) {
 	}
 }
 
+// syncCmd books one command of bytes on the priority lane, submitted at
+// submit, under the injector verdict f the caller drew (see inject). A
+// failed verdict reserves nothing: the command completes with f.Err once
+// the stall elapses. Otherwise the command reserves the priority lane and
+// combined capacity, and is traced under sp, accounted and recorded;
+// nsegs > 1 marks a merged plug command. It never blocks: callers that
+// block wait on done themselves. This and asyncCmd are the only places a
+// device reserves transfer time for a request.
+func (d *Device) syncCmd(sp *telemetry.Span, op Op, bytes int64, submit simtime.Time, f Fault, nsegs int) (done simtime.Time, err error) {
+	if f.Err != nil {
+		done = submit.Add(f.Stall)
+		sp.Child("dev.fault", telemetry.CatStall, submit, done).Annotate("bytes", bytes)
+		return done, f.Err
+	}
+	bw, lat := d.params(op)
+	hold := d.cfg.CmdOverhead + d.transfer(bytes, bw)
+	admit, end := d.bwSync.ReserveAt(submit, hold)
+	// Blocking traffic also occupies combined capacity, throttling the
+	// bandwidth the async lane can consume.
+	d.bwAll.ReserveAt(submit, hold)
+	done = end.Add(lat).Add(f.Stall)
+	if sp != nil {
+		if admit > submit {
+			sp.Child("dev.queue", telemetry.CatQueue, submit, admit)
+		}
+		cs := sp.Child("dev."+op.String(), telemetry.CatDevice, admit, end.Add(lat))
+		cs.Annotate("bytes", bytes)
+		if nsegs > 1 {
+			cs.Annotate("merged_segments", int64(nsegs))
+		}
+		if f.Stall > 0 {
+			sp.Child("dev.stall", telemetry.CatStall, end.Add(lat), done)
+		}
+	}
+	d.account(op, bytes)
+	if d.rec != nil {
+		d.record(op, bytes, submit, admit, done)
+	}
+	return done, nil
+}
+
+// asyncCmd is syncCmd for the combined (async) lane: the command queues
+// against all device traffic, so prefetch and writeback only use the
+// bandwidth blocking I/O leaves idle. end-admit is the command's hold.
+func (d *Device) asyncCmd(op Op, bytes int64, submit simtime.Time, f Fault) (admit, end, done simtime.Time, err error) {
+	if f.Err != nil {
+		return submit, submit, submit.Add(f.Stall), f.Err
+	}
+	bw, lat := d.params(op)
+	admit, end = d.bwAll.ReserveAt(submit, d.cfg.CmdOverhead+d.transfer(bytes, bw))
+	done = end.Add(lat).Add(f.Stall)
+	d.account(op, bytes)
+	if d.rec != nil {
+		d.record(op, bytes, submit, admit, done)
+	}
+	return admit, end, done, nil
+}
+
 // Access performs a synchronous request of bytes in direction op on the
 // device range starting at byte offset off, at the thread's current
 // time, blocking the thread until completion (queueing behind other
@@ -299,78 +357,20 @@ func (d *Device) account(op Op, bytes int64) {
 // fault stalls the requester (latency spike) and, on failure, returns
 // the injected error without occupying the device or moving any data.
 func (d *Device) Access(tl *simtime.Timeline, op Op, off, bytes int64) error {
-	f := d.inject(op, off, bytes)
-	if f.Err != nil {
-		fail := telemetry.Current(tl).Child("dev.fault", telemetry.CatStall,
-			tl.Now(), tl.Now().Add(f.Stall))
-		fail.Annotate("bytes", bytes)
-		if f.Stall > 0 {
-			tl.WaitUntil(tl.Now().Add(f.Stall), simtime.WaitIO)
-		}
-		return f.Err
-	}
-	bw, lat := d.params(op)
-	hold := d.cfg.CmdOverhead + d.transfer(bytes, bw)
-	start := tl.Now()
-	admit, end := d.bwSync.ReserveAt(start, hold)
-	// Blocking traffic also occupies combined capacity, throttling the
-	// bandwidth the async lane can consume.
-	d.bwAll.ReserveAt(start, hold)
-	done := end.Add(lat).Add(f.Stall)
-	if s := telemetry.Current(tl); s != nil {
-		if admit > start {
-			s.Child("dev.queue", telemetry.CatQueue, start, admit)
-		}
-		s.Child("dev."+op.String(), telemetry.CatDevice, admit, end.Add(lat)).
-			Annotate("bytes", bytes)
-		if f.Stall > 0 {
-			s.Child("dev.stall", telemetry.CatStall, end.Add(lat), done)
-		}
-	}
+	done, err := d.syncCmd(telemetry.Current(tl), op, bytes, tl.Now(), d.inject(op, off, bytes), 1)
 	tl.WaitUntil(done, simtime.WaitIO)
-	d.account(op, bytes)
-	if d.rec != nil {
-		d.record(op, bytes, start, admit, done)
-	}
-	return nil
+	return err
 }
 
-// AccessAt reserves asynchronous device time for a request submitted at
-// virtual time at and returns its completion time, without blocking any
-// timeline. This is the raw reservation primitive: it bypasses fault
-// injection and stats — use AccessAsync for the instrumented path. The
-// caller records the completion as the affected pages' ready time, and
-// should consult Backlog first to apply congestion control.
-func (d *Device) AccessAt(at simtime.Time, op Op, bytes int64) simtime.Time {
-	_, done := d.accessAt(at, op, bytes)
-	return done
-}
-
-// accessAt is AccessAt exposing the ledger admission time as well, for
-// callers that split queue wait from service in their accounting.
-func (d *Device) accessAt(at simtime.Time, op Op, bytes int64) (admit, done simtime.Time) {
-	bw, lat := d.params(op)
-	hold := d.cfg.CmdOverhead + d.transfer(bytes, bw)
-	admit, end := d.bwAll.ReserveAt(at, hold)
-	return admit, end.Add(lat)
-}
-
-// AccessAsync is AccessAt plus stats accounting and fault injection for
-// a request on the device range starting at byte offset off. A failed
+// AccessAsync reserves combined-lane device time for a request on the
+// device range starting at byte offset off, submitted at virtual time at,
+// and returns its completion time without blocking any timeline. A failed
 // request completes (with its error) after any injected stall, without
-// occupying the device.
+// occupying the device. Callers consult Backlog first to apply congestion
+// control.
 func (d *Device) AccessAsync(at simtime.Time, op Op, off, bytes int64) (simtime.Time, error) {
-	f := d.inject(op, off, bytes)
-	if f.Err != nil {
-		return at.Add(f.Stall), f.Err
-	}
-	admit, done := d.accessAt(at, op, bytes)
-	done = done.Add(f.Stall)
-	d.account(op, bytes)
-	if d.rec != nil {
-		d.record(op, bytes, at, admit, done)
-	}
-	return done, nil
+	_, _, done, err := d.asyncCmd(op, bytes, at, d.inject(op, off, bytes))
+	return done, err
 }
 
 // SyncCost reports what a blocking request of bytes would cost end-to-end

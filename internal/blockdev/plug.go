@@ -17,8 +17,8 @@ const (
 //
 // With Plugged false (the default) the plug is a passthrough: every
 // request dispatches immediately with exactly the Device.Access /
-// Device.AccessAsync semantics, byte-for-byte identical to submitting
-// against the device directly. With Plugged true, requests accumulate in
+// Device.AccessAsync semantics (see StackPlug.SyncRead and
+// StackPlug.AsyncPrefetchChunk). With Plugged true, requests accumulate in
 // the plug (mirroring Linux block plugging), adjacent same-op requests
 // merge front/back into single commands bounded by MergeWindowBytes, and
 // dispatch on unplug models QueueDepth in-flight commands: command i may
@@ -102,11 +102,10 @@ type command struct {
 	congested bool
 	err       error
 	done      simtime.Time
-	end       simtime.Time // reservation end (before latency); the congestion horizon
 }
 
-// Plug is a per-timeline submission queue over one device. It is not
-// safe for concurrent use; each simulated thread plugs, submits, and
+// Plug is one member device's submission queue inside a StackPlug. It is
+// not safe for concurrent use; each simulated thread plugs, submits, and
 // unplugs on its own timeline (as in Linux, where the plug lives on the
 // task struct).
 type Plug struct {
@@ -119,8 +118,8 @@ type Plug struct {
 	retries int
 }
 
-// NewPlug returns a plug over the device with cfg's scheduling policy.
-func (d *Device) NewPlug(cfg PlugConfig) *Plug {
+// newPlug returns a plug over the device with cfg's scheduling policy.
+func (d *Device) newPlug(cfg PlugConfig) *Plug {
 	return &Plug{dev: d, cfg: cfg.WithDefaults()}
 }
 
@@ -151,39 +150,6 @@ func (p *Plug) DispatchedCommands() int {
 
 // Retries reports transient-fault retries performed during FlushSync.
 func (p *Plug) Retries() int { return p.retries }
-
-// SyncAccess dispatches one blocking request immediately — the
-// passthrough path, with exactly Device.Access semantics.
-func (p *Plug) SyncAccess(tl *simtime.Timeline, op Op, off, bytes int64) error {
-	err := p.dev.Access(tl, op, off, bytes)
-	if err == nil {
-		p.dev.countPlug(1, 1, bytes)
-	}
-	return err
-}
-
-// AsyncAccess dispatches one asynchronous request immediately — the
-// passthrough path, with exactly Device.AccessAsync semantics — and
-// additionally returns the bandwidth reservation's end (before latency)
-// and its hold, the two inputs of the caller's advancing congestion
-// horizon (see FlushAsync).
-func (p *Plug) AsyncAccess(at simtime.Time, op Op, off, bytes int64) (done, end simtime.Time, hold simtime.Duration, err error) {
-	d := p.dev
-	f := d.inject(op, off, bytes)
-	if f.Err != nil {
-		return at.Add(f.Stall), at, 0, f.Err
-	}
-	bw, lat := d.params(op)
-	hold = d.cfg.CmdOverhead + d.transfer(bytes, bw)
-	admit, end := d.bwAll.ReserveAt(at, hold)
-	done = end.Add(lat).Add(f.Stall)
-	d.account(op, bytes)
-	if d.rec != nil {
-		d.record(op, bytes, at, admit, done)
-	}
-	d.countPlug(1, 1, bytes)
-	return done, end, hold, nil
-}
 
 // Add queues one segment in the plug, merging it into an existing
 // accumulated command when it is device-adjacent (front or back), same
@@ -329,51 +295,19 @@ func (p *Plug) flushSyncFrom(sp *telemetry.Span, start simtime.Time, rp RetryPol
 func (p *Plug) dispatchSync(sp *telemetry.Span, c *command, submit simtime.Time, rp RetryPolicy) {
 	d := p.dev
 	for attempt := 0; ; {
-		f := d.inject(c.op, c.off, c.bytes)
-		if f.Err != nil {
-			failDone := submit.Add(f.Stall)
-			sp.Child("dev.fault", telemetry.CatStall, submit, failDone).
-				Annotate("bytes", c.bytes)
-			if IsTransient(f.Err) && attempt < rp.Max {
-				attempt++
-				backoffEnd := failDone.Add(rp.Backoff(attempt))
-				sp.Child("dev.retry_backoff", telemetry.CatRetry, failDone, backoffEnd).
-					Annotate("attempt", int64(attempt))
-				p.retries++
-				submit = backoffEnd
-				continue
-			}
-			c.err = f.Err
-			c.done = failDone
-			return
+		done, err := d.syncCmd(sp, c.op, c.bytes, submit, d.inject(c.op, c.off, c.bytes), c.nsegs)
+		if err != nil && IsTransient(err) && attempt < rp.Max {
+			attempt++
+			backoffEnd := done.Add(rp.Backoff(attempt))
+			sp.Child("dev.retry_backoff", telemetry.CatRetry, done, backoffEnd).
+				Annotate("attempt", int64(attempt))
+			p.retries++
+			submit = backoffEnd
+			continue
 		}
-		bw, lat := d.params(c.op)
-		hold := d.cfg.CmdOverhead + d.transfer(c.bytes, bw)
-		admit, end := d.bwSync.ReserveAt(submit, hold)
-		// Blocking traffic also occupies combined capacity, throttling the
-		// bandwidth the async lane can consume.
-		d.bwAll.ReserveAt(submit, hold)
-		done := end.Add(lat).Add(f.Stall)
-		if sp != nil {
-			if admit > submit {
-				sp.Child("dev.queue", telemetry.CatQueue, submit, admit)
-			}
-			cs := sp.Child("dev."+c.op.String(), telemetry.CatDevice, admit, end.Add(lat))
-			cs.Annotate("bytes", c.bytes)
-			if c.nsegs > 1 {
-				cs.Annotate("merged_segments", int64(c.nsegs))
-			}
-			if f.Stall > 0 {
-				sp.Child("dev.stall", telemetry.CatStall, end.Add(lat), done)
-			}
-		}
-		d.account(c.op, c.bytes)
-		if d.rec != nil {
-			d.record(c.op, c.bytes, submit, admit, done)
-		}
-		c.issued = true
+		c.issued = err == nil
+		c.err = err
 		c.done = done
-		c.end = end
 		return
 	}
 }
@@ -415,29 +349,25 @@ func (p *Plug) FlushAsync(at simtime.Time, congestionLimit simtime.Duration) {
 				submit = prev
 			}
 		}
-		f := d.inject(c.op, c.off, c.bytes)
-		if f.Err != nil {
-			c.err = f.Err
-			c.done = submit.Add(f.Stall)
+		admit, end, done, err := d.asyncCmd(c.op, c.bytes, submit, d.inject(c.op, c.off, c.bytes))
+		c.err, c.done = err, done
+		if err != nil {
 			break
 		}
-		bw, lat := d.params(c.op)
-		hold := d.cfg.CmdOverhead + d.transfer(c.bytes, bw)
-		admit, end := d.bwAll.ReserveAt(submit, hold)
 		c.issued = true
-		c.done = end.Add(lat).Add(f.Stall)
-		c.end = end
-		if nh := horizon.Add(hold); end > nh {
-			horizon = end
-		} else {
-			horizon = nh
-		}
-		d.account(c.op, c.bytes)
-		if d.rec != nil {
-			d.record(c.op, c.bytes, submit, admit, c.done)
-		}
+		horizon = advanceHorizon(horizon, admit, end)
 	}
 	p.finish()
+}
+
+// advanceHorizon moves an async flush's congestion horizon past one
+// command reserved over [admit, end): to the command's end, or by at least
+// its hold when the ledger booked it earlier than the horizon.
+func advanceHorizon(h, admit, end simtime.Time) simtime.Time {
+	if nh := h.Add(end.Sub(admit)); nh > end {
+		return nh
+	}
+	return end
 }
 
 // finish maps command results back onto segments and accounts the plug

@@ -10,7 +10,7 @@ import (
 // test device, with optional queue-depth/merge-window overrides.
 func pluggedPlug(qd int, window int64) (*Device, *Plug) {
 	d := New(testConfig())
-	return d, d.NewPlug(PlugConfig{Plugged: true, QueueDepth: qd, MergeWindowBytes: window})
+	return d, d.newPlug(PlugConfig{Plugged: true, QueueDepth: qd, MergeWindowBytes: window})
 }
 
 func TestPlugBackMergeAdjacent(t *testing.T) {
@@ -178,13 +178,12 @@ func TestPlugMergeChargesOneCmdOverhead(t *testing.T) {
 		t.Fatalf("merged elapsed = %v, want %v (one CmdOverhead)", got, want)
 	}
 
-	d2 := New(cfg)
 	tl2 := simtime.NewTimeline(0)
-	p2 := d2.NewPlug(PlugConfig{})
-	if err := p2.SyncAccess(tl2, OpRead, 0, 1<<20); err != nil {
+	p2 := NewStack(StackConfig{Local: cfg}).NewPlug(PlugConfig{})
+	if err := p2.SyncRead(tl2, 0, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if err := p2.SyncAccess(tl2, OpRead, 1<<20, 1<<20); err != nil {
+	if err := p2.SyncRead(tl2, 1<<20, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	if tl2.Elapsed() <= tl.Elapsed() {
@@ -224,14 +223,15 @@ func TestPlugQueueDepthGatesDispatch(t *testing.T) {
 	}
 }
 
-// TestPlugAsyncPassthroughParity: the plug's passthrough async lane must
-// be byte- and time-identical to Device.AccessAsync.
+// TestPlugAsyncPassthroughParity: the stack plug's unplugged prefetch
+// primitive must be byte- and time-identical to Device.AccessAsync on a
+// width-1 stack, and advance its congestion horizon by the command's hold.
 func TestPlugAsyncPassthroughParity(t *testing.T) {
-	d1 := New(testConfig())
-	p := d1.NewPlug(PlugConfig{})
-	done1, _, hold, err := p.AsyncAccess(simtime.Time(0), OpRead, 0, 1<<20)
-	if err != nil {
-		t.Fatal(err)
+	st := NewStack(StackConfig{Local: testConfig()})
+	p := st.NewPlug(PlugConfig{})
+	done1, congested, err := p.AsyncPrefetchChunk(simtime.Time(0), 0, 1<<20, 5*simtime.Millisecond)
+	if err != nil || congested {
+		t.Fatalf("err=%v congested=%v", err, congested)
 	}
 	d2 := New(testConfig())
 	done2, err := d2.AccessAsync(simtime.Time(0), OpRead, 0, 1<<20)
@@ -242,11 +242,16 @@ func TestPlugAsyncPassthroughParity(t *testing.T) {
 		t.Fatalf("passthrough async done %v != device done %v", done1, done2)
 	}
 	cfg := testConfig()
-	if want := cfg.CmdOverhead + d1.transfer(1<<20, cfg.ReadBandwidth); hold != want {
-		t.Fatalf("hold = %v, want %v", hold, want)
+	if want := simtime.Time(0).Add(cfg.CmdOverhead + d2.transfer(1<<20, cfg.ReadBandwidth)); p.horizon[0] != want {
+		t.Fatalf("horizon = %v, want %v (one hold past submission)", p.horizon[0], want)
 	}
-	if d1.Stats().ReadOps != d2.Stats().ReadOps || d1.Stats().ReadBytes != d2.Stats().ReadBytes {
-		t.Fatalf("stats diverge: %+v vs %+v", d1.Stats(), d2.Stats())
+	s1, s2 := st.Stats(), d2.Stats()
+	if s1.ReadOps != s2.ReadOps || s1.ReadBytes != s2.ReadBytes || s1.Busy != s2.Busy {
+		t.Fatalf("stats diverge: %+v vs %+v", s1, s2)
+	}
+	if s1.PlugSegments != 1 || s1.PlugCommands != 1 {
+		t.Fatalf("passthrough chunk booked %d segments / %d commands, want 1/1",
+			s1.PlugSegments, s1.PlugCommands)
 	}
 }
 

@@ -107,13 +107,16 @@ type extentState struct {
 	lastUse simtime.Time
 }
 
-// Stack composes member devices behind the Device-shaped API the kernel
-// uses: a RAID-0 stripe over Width local devices, optionally tiered over
-// a remote NVMe-oF device with per-extent residency. Each member keeps
-// its own bandwidth ledgers, queue depth, merge window, and congestion
-// backlog — the per-backend queues the plug and lane schedulers dispatch
-// into (see StackPlug). A single-member, untiered stack delegates
-// everywhere and is byte-identical to the raw device.
+// Stack composes member devices behind the one block-submission API the
+// kernel uses: a RAID-0 stripe over Width local devices, optionally
+// tiered over a remote NVMe-oF device with per-extent residency. Each
+// member keeps its own bandwidth ledgers, queue depth, merge window, and
+// congestion backlog — the per-backend queues the plug and lane
+// schedulers dispatch into (see StackPlug). Reads reach the members only
+// through a StackPlug or a LaneSet; the stack's own exported submission
+// is writes (Write, WriteAsync). Every request, on any width, takes the
+// same piece path, and a width-1 untiered stack is byte- and
+// timing-identical to its bare member device.
 type Stack struct {
 	cfg     StackConfig
 	members []*Device
@@ -170,23 +173,6 @@ func NewStack(cfg StackConfig) *Stack {
 	return st
 }
 
-// WrapDevice adapts an already-built single device into a (degenerate)
-// stack — the compatibility path for callers that construct a Device
-// themselves.
-func WrapDevice(d *Device) *Stack {
-	return &Stack{
-		cfg:     StackConfig{Local: d.cfg, Width: 1, ChunkBytes: DefaultStripeChunkBytes},
-		members: []*Device{d},
-		width:   1,
-		remote:  -1,
-		chunk:   DefaultStripeChunkBytes,
-	}
-}
-
-// single reports whether every request maps 1:1 onto one member — the
-// delegate-everything fast path.
-func (st *Stack) single() bool { return len(st.members) == 1 }
-
 // Tiered reports whether the stack has a remote tier.
 func (st *Stack) Tiered() bool { return st.remote >= 0 }
 
@@ -195,9 +181,6 @@ func (st *Stack) Width() int { return st.width }
 
 // NumMembers reports the member device count (locals + remote).
 func (st *Stack) NumMembers() int { return len(st.members) }
-
-// Member exposes one member device (0..Width-1 local, then remote).
-func (st *Stack) Member(i int) *Device { return st.members[i] }
 
 // Config reports the stack configuration (with defaults applied).
 func (st *Stack) Config() StackConfig { return st.cfg }
@@ -246,9 +229,6 @@ type piece struct {
 // so a member's consecutive stripe chunks stay device-adjacent and merge
 // in its plug. Remote spans map flat (same offsets on the remote device).
 func (st *Stack) resolveInto(dst []piece, off, bytes int64) []piece {
-	if st.single() {
-		return append(dst, piece{m: 0, off: off, gOff: off, n: bytes})
-	}
 	if st.remote >= 0 {
 		st.tmu.Lock()
 		defer st.tmu.Unlock()
@@ -267,21 +247,27 @@ func (st *Stack) resolveInto(dst []piece, off, bytes int64) []piece {
 				continue
 			}
 		}
-		if st.width > 1 {
-			ci := off / st.chunk
-			if rem := (ci+1)*st.chunk - off; n > rem {
-				n = rem
-			}
-			m := int(ci % int64(st.width))
-			moff := (ci/int64(st.width))*st.chunk + off%st.chunk
-			dst = append(dst, piece{m: m, off: moff, gOff: off, n: n})
-		} else {
-			dst = append(dst, piece{m: 0, off: off, gOff: off, n: n})
-		}
+		m, moff, n := st.stripe(off, n)
+		dst = append(dst, piece{m: m, off: moff, gOff: off, n: n})
 		off += n
 		bytes -= n
 	}
 	return coalescePieces(dst)
+}
+
+// stripe maps the local-resident stack range [off, off+n) onto its RAID-0
+// member with the contiguity-preserving layout (see resolveInto),
+// clipping n at the end of off's stripe chunk. It reads only immutable
+// geometry, so callers may hold tmu or not.
+func (st *Stack) stripe(off, n int64) (m int, moff, clipped int64) {
+	if st.width == 1 {
+		return 0, off, n
+	}
+	ci := off / st.chunk
+	if rem := (ci+1)*st.chunk - off; n > rem {
+		n = rem
+	}
+	return int(ci % int64(st.width)), (ci/int64(st.width))*st.chunk + off%st.chunk, n
 }
 
 // coalescePieces merges adjacent entries that landed device-contiguous
@@ -400,19 +386,7 @@ func (st *Stack) promoteLocked(e int64, at simtime.Time, prefetch bool) {
 	off := e * st.extB
 	remaining := st.extB
 	for remaining > 0 {
-		n := remaining
-		var m int
-		var moff int64
-		if st.width > 1 {
-			ci := off / st.chunk
-			if rem := (ci+1)*st.chunk - off; n > rem {
-				n = rem
-			}
-			m = int(ci % int64(st.width))
-			moff = (ci/int64(st.width))*st.chunk + off%st.chunk
-		} else {
-			m, moff = 0, off
-		}
+		m, moff, n := st.stripe(off, remaining)
 		st.members[m].AccessAsync(at, OpWrite, moff, n) //nolint:errcheck // best-effort fill
 		off += n
 		remaining -= n
@@ -515,9 +489,6 @@ func (st *Stack) Backlog(at simtime.Time) simtime.Duration {
 // [off, off+bytes) would dispatch to — the per-backend congestion signal
 // the vfs prefetch admission uses.
 func (st *Stack) BacklogFor(at simtime.Time, off, bytes int64) simtime.Duration {
-	if st.single() {
-		return st.members[0].Backlog(at)
-	}
 	var buf [8]piece
 	var b simtime.Duration
 	var seen uint64
@@ -545,95 +516,66 @@ func (st *Stack) SyncCost(op Op, bytes int64) simtime.Duration {
 	return c
 }
 
-// Access performs one blocking request against the stack: each piece
-// reserves its member's priority lane in parallel from the caller's
-// current time and the caller blocks until the slowest piece completes.
-// Faults are pre-flighted across all pieces so a request either moves
-// every byte or none (the single-device failure atomicity callers
-// already rely on).
-func (st *Stack) Access(tl *simtime.Timeline, op Op, off, bytes int64) error {
-	if st.single() && st.remote < 0 {
-		return st.members[0].Access(tl, op, off, bytes)
-	}
-	var buf [8]piece
-	pieces := st.resolveInto(buf[:0], off, bytes)
-	start := tl.Now()
-	sp := telemetry.Current(tl)
-	for i := range pieces {
-		p := &pieces[i]
-		f := st.members[p.m].inject(op, p.off, p.n)
-		if f.Err != nil {
-			failDone := start.Add(f.Stall)
-			sp.Child("dev.fault", telemetry.CatStall, start, failDone).
-				Annotate("bytes", p.n)
-			if f.Stall > 0 {
-				tl.WaitUntil(failDone, simtime.WaitIO)
-			}
-			return f.Err
+// preflight draws every piece's injector verdict before any member
+// reserves time, so a stack request moves every byte or none (the
+// single-device failure atomicity callers rely on). It keeps each piece's
+// stall for its reservation and returns the first failing piece and its
+// verdict (f.Err nil when every piece may proceed).
+func (st *Stack) preflight(op Op, ps []piece) (fail int, f Fault) {
+	for i := range ps {
+		if f = st.members[ps[i].m].inject(op, ps[i].off, ps[i].n); f.Err != nil {
+			return i, f
 		}
-		p.stall = f.Stall
+		ps[i].stall = f.Stall
+	}
+	return -1, Fault{}
+}
+
+// syncPieces issues one blocking request's pieces: each reserves its
+// member's priority lane in parallel from the caller's current time, and
+// the caller blocks until the slowest completes (or, on an injected
+// fault, until the failing piece's stall elapses).
+func (st *Stack) syncPieces(tl *simtime.Timeline, op Op, ps []piece) (simtime.Time, error) {
+	start, sp := tl.Now(), telemetry.Current(tl)
+	if i, f := st.preflight(op, ps); f.Err != nil {
+		done, err := st.members[ps[i].m].syncCmd(sp, op, ps[i].n, start, f, 1)
+		tl.WaitUntil(done, simtime.WaitIO)
+		return done, err
 	}
 	var maxDone simtime.Time
-	for i := range pieces {
-		p := &pieces[i]
-		d := st.members[p.m]
-		bw, lat := d.params(op)
-		hold := d.cfg.CmdOverhead + d.transfer(p.n, bw)
-		admit, end := d.bwSync.ReserveAt(start, hold)
-		d.bwAll.ReserveAt(start, hold)
-		done := end.Add(lat).Add(p.stall)
-		if sp != nil {
-			if admit > start {
-				sp.Child("dev.queue", telemetry.CatQueue, start, admit)
-			}
-			sp.Child("dev."+op.String(), telemetry.CatDevice, admit, end.Add(lat)).
-				Annotate("bytes", p.n)
-			if p.stall > 0 {
-				sp.Child("dev.stall", telemetry.CatStall, end.Add(lat), done)
-			}
-		}
-		d.account(op, p.n)
-		if d.rec != nil {
-			d.record(op, p.n, start, admit, done)
-		}
+	for _, p := range ps {
+		done, _ := st.members[p.m].syncCmd(sp, op, p.n, start, Fault{Stall: p.stall}, 1)
 		if done > maxDone {
 			maxDone = done
 		}
 	}
 	tl.WaitUntil(maxDone, simtime.WaitIO)
-	if op == OpWrite {
-		st.noteWrite(maxDone, off, bytes)
-	}
-	return nil
+	return maxDone, nil
 }
 
-// AccessAsync reserves asynchronous stack time for one request submitted
-// at `at`, returning the slowest piece's completion. Same all-or-nothing
-// fault pre-flight as Access.
-func (st *Stack) AccessAsync(at simtime.Time, op Op, off, bytes int64) (simtime.Time, error) {
-	if st.single() && st.remote < 0 {
-		return st.members[0].AccessAsync(at, op, off, bytes)
-	}
+// access performs one blocking request against the stack (see
+// syncPieces); a completed write pulls its extents to the local tier.
+func (st *Stack) access(tl *simtime.Timeline, op Op, off, bytes int64) error {
 	var buf [8]piece
-	pieces := st.resolveInto(buf[:0], off, bytes)
-	for i := range pieces {
-		p := &pieces[i]
-		f := st.members[p.m].inject(op, p.off, p.n)
-		if f.Err != nil {
-			return at.Add(f.Stall), f.Err
-		}
-		p.stall = f.Stall
+	done, err := st.syncPieces(tl, op, st.resolveInto(buf[:0], off, bytes))
+	if err == nil && op == OpWrite {
+		st.noteWrite(done, off, bytes)
+	}
+	return err
+}
+
+// accessAsync reserves combined-lane stack time for one request
+// submitted at `at`, returning the slowest piece's completion, with the
+// same all-or-nothing fault pre-flight as access.
+func (st *Stack) accessAsync(at simtime.Time, op Op, off, bytes int64) (simtime.Time, error) {
+	var buf [8]piece
+	ps := st.resolveInto(buf[:0], off, bytes)
+	if _, f := st.preflight(op, ps); f.Err != nil {
+		return at.Add(f.Stall), f.Err
 	}
 	var maxDone simtime.Time
-	for i := range pieces {
-		p := &pieces[i]
-		d := st.members[p.m]
-		admit, done := d.accessAt(at, op, p.n)
-		done = done.Add(p.stall)
-		d.account(op, p.n)
-		if d.rec != nil {
-			d.record(op, p.n, at, admit, done)
-		}
+	for _, p := range ps {
+		_, _, done, _ := st.members[p.m].asyncCmd(op, p.n, at, Fault{Stall: p.stall})
 		if done > maxDone {
 			maxDone = done
 		}
@@ -644,11 +586,25 @@ func (st *Stack) AccessAsync(at simtime.Time, op Op, off, bytes int64) (simtime.
 	return maxDone, nil
 }
 
+// Write performs one blocking write of bytes at stack offset off on the
+// members' priority lanes, blocking tl until the slowest piece completes
+// (fsync's path). Reads go through a StackPlug instead.
+func (st *Stack) Write(tl *simtime.Timeline, off, bytes int64) error {
+	return st.access(tl, OpWrite, off, bytes)
+}
+
+// WriteAsync reserves combined-lane time for one write submitted at `at`
+// without blocking (the page cache's background writeback), returning
+// its completion.
+func (st *Stack) WriteAsync(at simtime.Time, off, bytes int64) (simtime.Time, error) {
+	return st.accessAsync(at, OpWrite, off, bytes)
+}
+
 // Stats aggregates the member counters (a single-member stack reports
 // the member verbatim). Busy is the slowest member's occupancy — the
 // stack's critical path.
 func (st *Stack) Stats() Stats {
-	if st.single() {
+	if len(st.members) == 1 {
 		return st.members[0].Stats()
 	}
 	names := make([]string, len(st.members))

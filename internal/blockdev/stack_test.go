@@ -24,7 +24,7 @@ func TestStackChunkStraddlePartition(t *testing.T) {
 	tl := simtime.NewTimeline(0)
 	// [60KB, 68KB): last 4KB of chunk 0 (member 0) + first 4KB of
 	// chunk 1 (member 1).
-	if err := st.Access(tl, OpRead, 60<<10, 8<<10); err != nil {
+	if err := st.access(tl, OpRead, 60<<10, 8<<10); err != nil {
 		t.Fatal(err)
 	}
 	ms := st.MemberStats()
@@ -78,62 +78,6 @@ func TestStackStripeCoalesceAndParallelism(t *testing.T) {
 	}
 }
 
-// A width-1 stack — built either via NewStack or WrapDevice — must be
-// byte- and timing-identical to the raw device for the same request
-// sequence.
-func TestStackWidthOneIdenticalToRawDevice(t *testing.T) {
-	raw := New(testConfig())
-	one := NewStack(StackConfig{Local: testConfig(), Width: 1})
-	wrapped := WrapDevice(New(testConfig()))
-
-	type step struct {
-		op    Op
-		off   int64
-		bytes int64
-	}
-	steps := []step{
-		{OpRead, 0, 1 << 20},
-		{OpWrite, 256 << 10, 64 << 10},
-		{OpRead, 60 << 10, 8 << 10}, // would straddle a chunk at width > 1
-		{OpRead, 1 << 20, 4 << 10},
-	}
-	rtl := simtime.NewTimeline(0)
-	otl := simtime.NewTimeline(0)
-	wtl := simtime.NewTimeline(0)
-	for i, s := range steps {
-		if err := raw.Access(rtl, s.op, s.off, s.bytes); err != nil {
-			t.Fatal(err)
-		}
-		if err := one.Access(otl, s.op, s.off, s.bytes); err != nil {
-			t.Fatal(err)
-		}
-		if err := wrapped.Access(wtl, s.op, s.off, s.bytes); err != nil {
-			t.Fatal(err)
-		}
-		if otl.Elapsed() != rtl.Elapsed() || wtl.Elapsed() != rtl.Elapsed() {
-			t.Fatalf("step %d: elapsed raw=%v stack=%v wrapped=%v",
-				i, rtl.Elapsed(), otl.Elapsed(), wtl.Elapsed())
-		}
-	}
-	// Async path too: identical admission and completion.
-	rd, rerr := raw.AccessAsync(rtl.Now(), OpRead, 0, 512<<10)
-	od, oerr := one.AccessAsync(otl.Now(), OpRead, 0, 512<<10)
-	if rerr != nil || oerr != nil {
-		t.Fatal(rerr, oerr)
-	}
-	if od != rd {
-		t.Fatalf("async done: raw=%v stack=%v", rd, od)
-	}
-	rs, os, ws := raw.Stats(), one.Stats(), wrapped.Stats()
-	ws.ReadOps, ws.ReadBytes = ws.ReadOps+1, ws.ReadBytes+512<<10 // skip async on wrapped
-	if os != rs {
-		t.Fatalf("stats diverge:\nraw   %+v\nstack %+v", rs, os)
-	}
-	if ws.Name != rs.Name {
-		t.Fatalf("wrapped stack renamed the device: %q vs %q", ws.Name, rs.Name)
-	}
-}
-
 // A fault on one member must fail the whole stack request before ANY
 // member books bytes: all-or-nothing, so a partially-served stripe can
 // never land in (and poison) the page cache. After the fault clears,
@@ -143,9 +87,9 @@ func TestStackSingleMemberFaultAllOrNothing(t *testing.T) {
 	tl := simtime.NewTimeline(0)
 	// Fail member 1's piece ([0,64KB) of the member device); member 0 is
 	// healthy and resolves first in piece order.
-	st.Member(1).SetFaultInjector(&stubInjector{fail: map[int64]bool{0: true}})
+	st.members[1].SetFaultInjector(&stubInjector{fail: map[int64]bool{0: true}})
 
-	if err := st.Access(tl, OpRead, 0, 128<<10); !errors.Is(err, ErrInjected) {
+	if err := st.access(tl, OpRead, 0, 128<<10); !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	ms := st.MemberStats()
@@ -157,7 +101,7 @@ func TestStackSingleMemberFaultAllOrNothing(t *testing.T) {
 	}
 
 	// Async submission takes the same pre-flight.
-	if _, err := st.AccessAsync(tl.Now(), OpRead, 0, 128<<10); !errors.Is(err, ErrInjected) {
+	if _, err := st.accessAsync(tl.Now(), OpRead, 0, 128<<10); !errors.Is(err, ErrInjected) {
 		t.Fatalf("async err = %v, want ErrInjected", err)
 	}
 	if ms := st.MemberStats(); ms[0].ReadOps != 0 || ms[1].ReadOps != 0 {
@@ -166,8 +110,8 @@ func TestStackSingleMemberFaultAllOrNothing(t *testing.T) {
 
 	// Clear the fault: the retry serves every byte, and the totals show
 	// only the clean attempt.
-	st.Member(1).SetFaultInjector(nil)
-	if err := st.Access(tl, OpRead, 0, 128<<10); err != nil {
+	st.members[1].SetFaultInjector(nil)
+	if err := st.access(tl, OpRead, 0, 128<<10); err != nil {
 		t.Fatal(err)
 	}
 	ms = st.MemberStats()
@@ -201,7 +145,7 @@ func TestStackBacklogForIsolatesSaturatedMember(t *testing.T) {
 	}
 
 	// Saturate the remote member with a large direct reservation.
-	remote := st.Member(st.NumMembers() - 1)
+	remote := st.members[st.remote]
 	if _, err := remote.AccessAsync(0, OpRead, 0, 1<<30); err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +169,11 @@ func TestStackBackendTelemetryPartition(t *testing.T) {
 	st.SetTelemetry(rec)
 	tl := simtime.NewTimeline(0)
 	for i := int64(0); i < 8; i++ {
-		if err := st.Access(tl, OpRead, i*96<<10, 96<<10); err != nil {
+		if err := st.access(tl, OpRead, i*96<<10, 96<<10); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Access(tl, OpWrite, 0, 128<<10); err != nil {
+	if err := st.Write(tl, 0, 128<<10); err != nil {
 		t.Fatal(err)
 	}
 	snap := rec.Snapshot()

@@ -30,8 +30,9 @@ type RequestPiece struct {
 }
 
 // Request is the per-Add aggregate view of a StackPlug flush — the unit
-// lane dispatch thinks in. On a single-member stack every request is one
-// piece and Pieces is nil.
+// lane dispatch thinks in. Pieces lists its member-level fragments in
+// stack-offset order; it aliases the plug's buffers and is valid until the
+// plug's next Reset.
 type Request struct {
 	Op     Op
 	Off    int64
@@ -68,21 +69,19 @@ type pieceSrc struct {
 // offsets resolve into member pieces (Segments() exposes piece-level
 // results; Requests() the per-Add aggregates); flushes run every member
 // queue from the same submission time and, for blocking flushes, wait
-// once on the overall maximum — stripe parallelism. A single-member,
-// untiered stack delegates to a plain Plug and is byte-identical to it.
+// once on the overall maximum — stripe parallelism. It is the only way a
+// read reaches a member device, on every stack width.
 type StackPlug struct {
 	st  *Stack
 	cfg PlugConfig
 
-	// one is the delegate for the single-member fast path (nil when the
-	// stack has multiple members).
-	one *Plug
-	// mem holds one sub-plug per member (multi-member stacks).
+	// mem holds one sub-plug per member.
 	mem []*Plug
 
 	segs    []Segment
 	src     []pieceSrc
 	reqs    []Request
+	rpieces []RequestPiece // backing store of every Request.Pieces
 	pieces  []piece        // resolve scratch
 	horizon []simtime.Time // per-member async horizon (AsyncPrefetchChunk)
 	cmdBase []int          // finish scratch: per-member command-id bases
@@ -94,13 +93,9 @@ type StackPlug struct {
 // every member queue.
 func (st *Stack) NewPlug(cfg PlugConfig) *StackPlug {
 	p := &StackPlug{st: st, cfg: cfg.WithDefaults()}
-	if st.single() {
-		p.one = st.members[0].NewPlug(cfg)
-		return p
-	}
 	p.mem = make([]*Plug, len(st.members))
 	for i, m := range st.members {
-		p.mem[i] = m.NewPlug(cfg)
+		p.mem[i] = m.newPlug(cfg)
 	}
 	p.horizon = make([]simtime.Time, len(st.members))
 	return p
@@ -117,11 +112,6 @@ func (p *StackPlug) MarkPrefetch(v bool) { p.prefetch = v }
 // Reset clears accumulated state, keeping capacity (plugs are pooled).
 func (p *StackPlug) Reset() {
 	p.prefetch = false
-	if p.one != nil {
-		p.one.Reset()
-		p.reqs = p.reqs[:0]
-		return
-	}
 	for _, mp := range p.mem {
 		mp.Reset()
 	}
@@ -138,10 +128,6 @@ func (p *StackPlug) Reset() {
 // the caller cookie; piece-level Segments carry userLo advanced by each
 // piece's block delta so the vfs result grouping works unchanged.
 func (p *StackPlug) Add(op Op, off, bytes, userLo int64) {
-	if p.one != nil {
-		p.one.Add(op, off, bytes, userLo)
-		return
-	}
 	req := len(p.reqs)
 	p.reqs = append(p.reqs, Request{Op: op, Off: off, Bytes: bytes, UserLo: userLo, prefetch: p.prefetch})
 	bs := p.st.BlockSize()
@@ -156,33 +142,13 @@ func (p *StackPlug) Add(op Op, off, bytes, userLo int64) {
 }
 
 // Segments exposes piece-level results in Add order (after a flush).
-func (p *StackPlug) Segments() []Segment {
-	if p.one != nil {
-		return p.one.Segments()
-	}
-	return p.segs
-}
+func (p *StackPlug) Segments() []Segment { return p.segs }
 
 // Requests exposes the per-Add aggregate results (after a flush).
-func (p *StackPlug) Requests() []Request {
-	if p.one != nil {
-		p.reqs = p.reqs[:0]
-		for _, s := range p.one.Segments() {
-			p.reqs = append(p.reqs, Request{
-				Op: s.Op, Off: s.Off, Bytes: s.Bytes, UserLo: s.UserLo,
-				Issued: s.Issued, Congested: s.Congested, Err: s.Err, Done: s.Done,
-			})
-		}
-		return p.reqs
-	}
-	return p.reqs
-}
+func (p *StackPlug) Requests() []Request { return p.reqs }
 
 // Retries reports transient-fault retries performed during FlushSync.
 func (p *StackPlug) Retries() int {
-	if p.one != nil {
-		return p.one.Retries()
-	}
 	n := 0
 	for _, mp := range p.mem {
 		n += mp.retries
@@ -193,9 +159,6 @@ func (p *StackPlug) Retries() int {
 // DispatchedCommands reports device commands issued by the last flush,
 // summed across member queues.
 func (p *StackPlug) DispatchedCommands() int {
-	if p.one != nil {
-		return p.one.DispatchedCommands()
-	}
 	n := 0
 	for _, mp := range p.mem {
 		n += mp.DispatchedCommands()
@@ -203,25 +166,20 @@ func (p *StackPlug) DispatchedCommands() int {
 	return n
 }
 
-// SyncAccess dispatches one blocking request immediately (the
-// passthrough path): pieces reserve their members' priority lanes in
-// parallel, faults are pre-flighted for all-or-nothing atomicity, and
-// each issued piece books one plug segment+command on its member.
-func (p *StackPlug) SyncAccess(tl *simtime.Timeline, op Op, off, bytes int64) error {
-	if p.one != nil {
-		return p.one.SyncAccess(tl, op, off, bytes)
-	}
-	err := p.st.Access(tl, op, off, bytes)
+// SyncRead dispatches one blocking read immediately (the passthrough
+// path): pieces reserve their members' priority lanes in parallel, faults
+// are pre-flighted for all-or-nothing atomicity, and each issued piece
+// books one plug segment+command on its member.
+func (p *StackPlug) SyncRead(tl *simtime.Timeline, off, bytes int64) error {
+	p.pieces = p.st.resolveInto(p.pieces[:0], off, bytes)
+	done, err := p.st.syncPieces(tl, OpRead, p.pieces)
 	if err != nil {
 		return err
 	}
-	p.pieces = p.st.resolveInto(p.pieces[:0], off, bytes)
 	for _, pc := range p.pieces {
 		p.st.members[pc.m].countPlug(1, 1, pc.n)
 	}
-	if op == OpRead {
-		p.st.noteRead(tl.Now(), off, bytes, p.prefetch)
-	}
+	p.st.noteRead(done, off, bytes, p.prefetch)
 	return nil
 }
 
@@ -231,9 +189,6 @@ func (p *StackPlug) SyncAccess(tl *simtime.Timeline, op Op, off, bytes int64) er
 // the first command error; segments and requests carry individual
 // results.
 func (p *StackPlug) FlushSync(tl *simtime.Timeline, rp RetryPolicy) error {
-	if p.one != nil {
-		return p.one.FlushSync(tl, rp)
-	}
 	start := tl.Now()
 	sp := telemetry.Current(tl)
 	var maxDone simtime.Time
@@ -263,10 +218,6 @@ func (p *StackPlug) FlushSync(tl *simtime.Timeline, rp RetryPolicy) error {
 // against its own backlog and its own flush horizon, so a saturated
 // member never throttles work bound for the others.
 func (p *StackPlug) FlushAsync(at simtime.Time, congestionLimit simtime.Duration) {
-	if p.one != nil {
-		p.one.FlushAsync(at, congestionLimit)
-		return
-	}
 	for _, mp := range p.mem {
 		if len(mp.cmds) == 0 {
 			continue
@@ -278,7 +229,9 @@ func (p *StackPlug) FlushAsync(at simtime.Time, congestionLimit simtime.Duration
 
 // finishStack maps member-plug results back onto the stack's piece
 // segments (with globally unique command ids), aggregates them into
-// per-request results, and books tier read heat for completed reads.
+// per-request results, and books tier read heat for completed reads. A
+// request's pieces are consecutive segments, so one pass over the
+// segments fills every request, and the pieces share one reused buffer.
 func (p *StackPlug) finishStack() {
 	p.cmdBase = p.cmdBase[:0]
 	acc := 0
@@ -286,44 +239,41 @@ func (p *StackPlug) finishStack() {
 		p.cmdBase = append(p.cmdBase, acc)
 		acc += len(mp.cmds)
 	}
+	if cap(p.rpieces) < len(p.segs) {
+		p.rpieces = make([]RequestPiece, len(p.segs))
+	}
+	p.rpieces = p.rpieces[:len(p.segs)]
+	i := 0
 	for r := range p.reqs {
 		rq := &p.reqs[r]
 		rq.Issued, rq.Congested, rq.Partial = false, false, false
 		rq.Err = nil
 		rq.Done = 0
-		rq.Pieces = rq.Pieces[:0]
-	}
-	for i := range p.segs {
-		s := &p.segs[i]
-		src := p.src[i]
-		ms := &p.mem[src.m].segs[src.idx]
-		s.Cmd = p.cmdBase[src.m] + ms.Cmd
-		s.Issued, s.Congested, s.Err, s.Done = ms.Issued, ms.Congested, ms.Err, ms.Done
-
-		rq := &p.reqs[src.req]
-		rq.Pieces = append(rq.Pieces, RequestPiece{
-			Delta: s.Off - rq.Off, Bytes: s.Bytes, Backend: src.m,
-			Issued: s.Issued, Err: s.Err, Done: s.Done,
-		})
-		if s.Err != nil && rq.Err == nil {
-			rq.Err = s.Err
-		}
-		if s.Done > rq.Done {
-			rq.Done = s.Done
-		}
-	}
-	for r := range p.reqs {
-		rq := &p.reqs[r]
-		issued, congested := 0, 0
-		for i := range rq.Pieces {
-			if rq.Pieces[i].Issued {
+		first, issued, congested := i, 0, false
+		for ; i < len(p.segs) && p.src[i].req == r; i++ {
+			s := &p.segs[i]
+			src := p.src[i]
+			ms := &p.mem[src.m].segs[src.idx]
+			s.Cmd = p.cmdBase[src.m] + ms.Cmd
+			s.Issued, s.Congested, s.Err, s.Done = ms.Issued, ms.Congested, ms.Err, ms.Done
+			p.rpieces[i] = RequestPiece{
+				Delta: s.Off - rq.Off, Bytes: s.Bytes, Backend: src.m,
+				Issued: s.Issued, Err: s.Err, Done: s.Done,
+			}
+			if s.Issued {
 				issued++
-			} else if rq.Pieces[i].Err == nil {
-				congested++ // congested or skipped; both un-issued without error
+			}
+			congested = congested || s.Congested
+			if s.Err != nil && rq.Err == nil {
+				rq.Err = s.Err
+			}
+			if s.Done > rq.Done {
+				rq.Done = s.Done
 			}
 		}
+		rq.Pieces = p.rpieces[first:i:i]
 		switch {
-		case issued == len(rq.Pieces) && issued > 0:
+		case issued == len(rq.Pieces): // a zero-byte request has no pieces
 			rq.Issued = true
 			if rq.Op == OpRead {
 				p.st.noteRead(rq.Done, rq.Off, rq.Bytes, rq.prefetch)
@@ -333,24 +283,13 @@ func (p *StackPlug) finishStack() {
 			if rq.Err == nil {
 				rq.Err = ErrPartialStack
 			}
-		case rq.Err == nil && congested > 0:
+		case rq.Err == nil:
 			// Nothing issued, nothing failed. Congested only if a piece
 			// was actually marked so; pieces skipped after another
 			// member's fault stay restageable (Congested false, Err nil).
-			rq.Congested = p.anyCongested(r)
+			rq.Congested = congested
 		}
 	}
-}
-
-// anyCongested reports whether any piece segment of request r carries
-// the Congested flag.
-func (p *StackPlug) anyCongested(r int) bool {
-	for i := range p.segs {
-		if p.src[i].req == r && p.segs[i].Congested {
-			return true
-		}
-	}
-	return false
 }
 
 // AsyncPrefetchChunk is the unplugged prefetch primitive: one chunk
@@ -362,15 +301,7 @@ func (p *StackPlug) anyCongested(r int) bool {
 // slowest piece's completion.
 func (p *StackPlug) AsyncPrefetchChunk(at simtime.Time, off, bytes int64, limit simtime.Duration) (done simtime.Time, congested bool, err error) {
 	st := p.st
-	if p.one != nil {
-		// Single member: identical math, member 0's backlog and horizon.
-		if p.horizon == nil {
-			p.horizon = make([]simtime.Time, 1)
-		}
-		p.pieces = append(p.pieces[:0], piece{m: 0, off: off, gOff: off, n: bytes})
-	} else {
-		p.pieces = st.resolveInto(p.pieces[:0], off, bytes)
-	}
+	p.pieces = st.resolveInto(p.pieces[:0], off, bytes)
 	if limit > 0 {
 		for _, pc := range p.pieces {
 			b := st.members[pc.m].Backlog(at)
@@ -382,30 +313,13 @@ func (p *StackPlug) AsyncPrefetchChunk(at simtime.Time, off, bytes int64, limit 
 			}
 		}
 	}
-	for i := range p.pieces {
-		pc := &p.pieces[i]
-		f := st.members[pc.m].inject(OpRead, pc.off, pc.n)
-		if f.Err != nil {
-			return at.Add(f.Stall), false, f.Err
-		}
-		pc.stall = f.Stall
+	if _, f := st.preflight(OpRead, p.pieces); f.Err != nil {
+		return at.Add(f.Stall), false, f.Err
 	}
-	for i := range p.pieces {
-		pc := &p.pieces[i]
+	for _, pc := range p.pieces {
 		d := st.members[pc.m]
-		bw, lat := d.params(OpRead)
-		hold := d.cfg.CmdOverhead + d.transfer(pc.n, bw)
-		admit, end := d.bwAll.ReserveAt(at, hold)
-		pdone := end.Add(lat).Add(pc.stall)
-		if nh := p.horizon[pc.m].Add(hold); end > nh {
-			p.horizon[pc.m] = end
-		} else {
-			p.horizon[pc.m] = nh
-		}
-		d.account(OpRead, pc.n)
-		if d.rec != nil {
-			d.record(OpRead, pc.n, at, admit, pdone)
-		}
+		admit, end, pdone, _ := d.asyncCmd(OpRead, pc.n, at, Fault{Stall: pc.stall})
+		p.horizon[pc.m] = advanceHorizon(p.horizon[pc.m], admit, end)
 		d.countPlug(1, 1, pc.n)
 		if pdone > done {
 			done = pdone

@@ -14,12 +14,12 @@ import (
 // limit-override support enabled.
 func newKernel(capacity int64) *vfs.VFS {
 	costs := simtime.DefaultCosts()
-	dev := blockdev.New(blockdev.NVMeConfig())
+	dev := blockdev.NewStack(blockdev.StackConfig{})
 	fsys := fs.New(fs.LayoutExtent, 4096, costs)
 	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: capacity, Costs: costs}, nil)
 	cfg := vfs.DefaultConfig()
 	cfg.AllowLimitOverride = true
-	return vfs.New(cfg, fsys, dev, cache)
+	return vfs.NewStack(cfg, fsys, dev, cache)
 }
 
 func TestApproachStringsAndOptions(t *testing.T) {

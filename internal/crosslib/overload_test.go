@@ -20,14 +20,14 @@ import (
 // raises the pressure level.
 func newOverloadKernel(capacity int64) *vfs.VFS {
 	costs := simtime.DefaultCosts()
-	dev := blockdev.New(blockdev.NVMeConfig())
+	dev := blockdev.NewStack(blockdev.StackConfig{})
 	fsys := fs.New(fs.LayoutExtent, 4096, costs)
 	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: capacity, Costs: costs}, nil)
 	cfg := vfs.DefaultConfig()
 	cfg.AllowLimitOverride = true
 	cfg.Brownout = true
 	cfg.CongestionLimit = simtime.Microsecond
-	return vfs.New(cfg, fsys, dev, cache)
+	return vfs.NewStack(cfg, fsys, dev, cache)
 }
 
 // TestRingCloseReapRace: a Close racing an in-flight Submit must not
@@ -122,7 +122,7 @@ func TestBreakerProbeSurvivesShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring.Submit(tl)
-	if got := v.Device().Backlog(tl.Now()); got <= 4*simtime.Microsecond {
+	if got := v.Stack().Backlog(tl.Now()); got <= 4*simtime.Microsecond {
 		t.Fatalf("backlog %v too small to trigger brownout", got)
 	}
 
@@ -307,5 +307,64 @@ func TestDeadlineShedAndMiss(t *testing.T) {
 	}
 	if !errors.Is(got[2], vfs.ErrDeadlineExceeded) {
 		t.Fatalf("expired read error = %v, want vfs.ErrDeadlineExceeded", got[2])
+	}
+}
+
+// TestDeadlineShedSeesSaturatedRemote: the ring's deadline shed reads the
+// stack's worst-member backlog, the signal the brownout controller uses.
+// On a tiered kernel whose remote member is saturated while the local
+// member idles, a prefetch SQE whose deadline falls inside the remote
+// backlog is refused with ErrShed. Reading only the first member (the
+// idle local device) let it through and missed the deadline.
+func TestDeadlineShedSeesSaturatedRemote(t *testing.T) {
+	costs := simtime.DefaultCosts()
+	st := blockdev.NewStack(blockdev.StackConfig{
+		Tier: blockdev.TierConfig{Enabled: true, RemoteFrac: 0.5},
+	})
+	fsys := fs.New(fs.LayoutExtent, 4096, costs)
+	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: 1 << 20, Costs: costs}, nil)
+	cfg := vfs.DefaultConfig()
+	cfg.AllowLimitOverride = true
+	v := vfs.NewStack(cfg, fsys, st, cache)
+	rt := NewForApproach(v, CrossPredictOpt)
+	tl := simtime.NewTimeline(0)
+	v.FS().CreateSynthetic(tl, "dl", 16<<20)
+	f, err := rt.Open(tl, "dl")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Saturate the remote member through one stack-addressed plug flush
+	// over 64MB of remote-resident extents.
+	extB := st.Config().Tier.ExtentBytes
+	st.BacklogFor(tl.Now(), 0, 256<<20) // first touch fixes residency
+	p := st.NewPlug(blockdev.PlugConfig{Plugged: true})
+	var booked, localOff int64 = 0, -1
+	for _, h := range st.TierStats(0).Heat {
+		if !h.Local && booked < 64<<20 {
+			p.Add(blockdev.OpRead, h.Extent*extB, extB, h.Extent)
+			booked += extB
+		}
+		if h.Local && localOff < 0 {
+			localOff = h.Extent * extB
+		}
+	}
+	p.FlushAsync(tl.Now(), 0)
+	backlog := st.Backlog(tl.Now())
+	if backlog < 10*simtime.Millisecond {
+		t.Fatalf("remote backlog %v, want a saturated remote member", backlog)
+	}
+	if lb := st.BacklogFor(tl.Now(), localOff, extB); lb > simtime.Millisecond {
+		t.Fatalf("local member backlog %v, want it near idle", lb)
+	}
+
+	ring := rt.NewRing(0, 64)
+	if err := ring.PrepPrefetchDeadline(f, 0, 1<<20, 1, tl.Now().Add(backlog/2)); err != nil {
+		t.Fatal(err)
+	}
+	ring.Submit(tl)
+	cqes := ring.Reap(tl, 1)
+	if len(cqes) != 1 || !errors.Is(cqes[0].Err, vfs.ErrShed) {
+		t.Fatalf("prefetch inside the remote backlog: CQEs %+v, want one refused with vfs.ErrShed", cqes)
 	}
 }

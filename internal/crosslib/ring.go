@@ -255,10 +255,13 @@ func (r *Ring) Submit(tl *simtime.Timeline) int {
 				continue
 			}
 			if q.deadline > 0 &&
-				tl.Now().Add(rt.v.Device().Backlog(tl.Now())) > q.deadline {
-				// The device backlog alone already pushes completion past
-				// the deadline: shed here, before the breaker or bitmap
-				// see the intent — prefetch is the first work to go.
+				tl.Now().Add(rt.v.Stack().Backlog(tl.Now())) > q.deadline {
+				// The backlog alone already pushes completion past the
+				// deadline: shed here, before the breaker or bitmap see
+				// the intent — prefetch is the first work to go. The
+				// signal is the stack's worst member (the one the
+				// brownout controller reads), so a saturated remote or
+				// stripe member counts on tiered and striped stacks.
 				rt.rec.Add(telemetry.CtrRingShedSQEs, 1)
 				rt.rec.Add(telemetry.CtrRingShedPrefetchPages, q.hi-q.lo)
 				rt.rec.Event(tl.Now(), telemetry.OutcomeShedPrefetch,

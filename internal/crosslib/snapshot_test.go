@@ -119,7 +119,7 @@ func TestReusedSnapshotMatchesFresh(t *testing.T) {
 		if got := a.sf.tree.CachedCount(nil, 0, 64); got != 64 {
 			t.Fatalf("first window: %d/64 blocks cached", got)
 		}
-		v.Device().SetFaultInjector(faultinject.New(faultinject.Plan{
+		v.Stack().SetFaultInjector(faultinject.New(faultinject.Plan{
 			Seed:   7,
 			Ranges: []faultinject.RangeFault{{Lo: 0, Hi: 1 << 40, Class: faultinject.Persistent, Reads: true}},
 		}))

@@ -194,7 +194,7 @@ func chaosCell(o Options, size int64, plan *faultinject.Plan) (chaosResult, erro
 				})
 			}
 		}
-		sys.Device().SetFaultInjector(faultinject.New(p))
+		sys.Stack().SetFaultInjector(faultinject.New(p))
 	}
 
 	var res chaosResult
@@ -281,7 +281,7 @@ func chaosCell(o Options, size int64, plan *faultinject.Plan) (chaosResult, erro
 	}
 	res.makespan = tl.Elapsed()
 	res.stats = sys.Lib().Stats()
-	res.injected = sys.Device().Stats().InjectedFaults
+	res.injected = sys.Stack().Stats().InjectedFaults
 	res.lost = sys.Telemetry().CounterValue(telemetry.CtrWritebackLostPages)
 	return res, nil
 }

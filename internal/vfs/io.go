@@ -269,7 +269,7 @@ func (f *File) syncWriteRun(tl *simtime.Timeline, r bitmap.Run) error {
 			if chunk > maxVFSRequest {
 				chunk = maxVFSRequest
 			}
-			if err := f.v.syncAccess(tl, blockdev.OpWrite, devOff, chunk); err != nil {
+			if err := f.v.syncWrite(tl, devOff, chunk); err != nil {
 				f.fc.SetDirtyRange(tl, lo, r.Hi)
 				f.v.rec.Event(tl.Now(), telemetry.OutcomeDeviceFault, f.ino.ID(), lo, r.Hi)
 				return err

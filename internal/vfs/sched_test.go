@@ -16,10 +16,10 @@ import (
 func newSchedKernel(t *testing.T, cfg Config, capacity int64) *VFS {
 	t.Helper()
 	costs := simtime.DefaultCosts()
-	dev := blockdev.New(blockdev.NVMeConfig())
+	dev := blockdev.NewStack(blockdev.StackConfig{})
 	fsys := fs.New(fs.LayoutExtent, 4096, costs)
 	cache := pagecache.New(pagecache.Config{BlockSize: 4096, CapacityPages: capacity, Costs: costs}, nil)
-	return New(cfg, fsys, dev, cache)
+	return NewStack(cfg, fsys, dev, cache)
 }
 
 // fragmentFile materializes blocks [0, n) of f, bypassing the page
@@ -178,12 +178,12 @@ func TestDemandRetryBackoffClamp(t *testing.T) {
 	v := newSchedKernel(t, cfg, 1000)
 	tl := simtime.NewTimeline(0)
 
-	v.Device().SetFaultInjector(faultinject.New(faultinject.Plan{
+	v.Stack().SetFaultInjector(faultinject.New(faultinject.Plan{
 		Seed:             1,
 		TransientRepeats: 80, // last retry succeeds
 		Ranges:           []faultinject.RangeFault{{Lo: 0, Hi: 1 << 40, Class: faultinject.Transient, Writes: true}},
 	}))
-	if err := v.syncAccess(tl, blockdev.OpWrite, 0, 4096); err != nil {
+	if err := v.syncWrite(tl, 0, 4096); err != nil {
 		t.Fatalf("transient faults within budget must be absorbed: %v", err)
 	}
 	// Backoffs: 50µs<<(a-1) for attempts 1..8 (12.75ms total), then 72

@@ -32,6 +32,34 @@ func newTieredKernel(t *testing.T, capacity int64, brownout bool) (*VFS, *blockd
 	return NewStack(cfg, fsys, st, cache), st
 }
 
+// saturateRemote books at least bytes of reads on a tiered stack's remote
+// member, at `at`, through one stack-addressed plug flush over
+// remote-resident extents; the local members stay idle.
+func saturateRemote(t *testing.T, st *blockdev.Stack, at simtime.Time, bytes int64) {
+	t.Helper()
+	extB := st.Config().Tier.ExtentBytes
+	// First touch fixes each extent's residency; scan enough extents for
+	// the remote share to cover bytes.
+	st.BacklogFor(at, 0, 4*bytes)
+	p := st.NewPlug(blockdev.PlugConfig{Plugged: true})
+	var booked int64
+	for _, h := range st.TierStats(0).Heat {
+		if !h.Local && booked < bytes {
+			p.Add(blockdev.OpRead, h.Extent*extB, extB, h.Extent)
+			booked += extB
+		}
+	}
+	p.FlushAsync(at, 0)
+	for _, rq := range p.Requests() {
+		if !rq.Issued {
+			t.Fatalf("saturating read at %d not issued: %+v", rq.Off, rq)
+		}
+	}
+	if booked < bytes {
+		t.Fatalf("found %d remote bytes, want %d", booked, bytes)
+	}
+}
+
 // Regression test for the single-device congestion accounting bug:
 // prefetch congestion and brownout shed decisions must read the backlog
 // of only the backends a range actually targets. Before the fix they
@@ -50,10 +78,7 @@ func TestSaturatedRemoteDoesNotThrottleLocalPrefetch(t *testing.T) {
 
 	// Saturate the remote member far past the clamp threshold; the local
 	// member stays idle.
-	remote := st.Member(st.NumMembers() - 1)
-	if _, err := remote.AccessAsync(tl.Now(), blockdev.OpRead, 0, 1<<30); err != nil {
-		t.Fatal(err)
-	}
+	saturateRemote(t, st, tl.Now(), 1<<30)
 	if st.Backlog(tl.Now()) <= 4*v.cfg.CongestionLimit {
 		t.Fatal("remote member not saturated enough to exercise the clamp")
 	}

@@ -153,15 +153,9 @@ type VFS struct {
 	brownout atomic.Int32
 }
 
-// New assembles a kernel over a single bare device (wrapped as a
-// degenerate one-member stack). It installs the cache's dirty-page
-// writeback hook.
-func New(cfg Config, fsys *fs.FS, dev *blockdev.Device, cache *pagecache.Cache) *VFS {
-	return NewStack(cfg, fsys, blockdev.WrapDevice(dev), cache)
-}
-
-// NewStack assembles a kernel over a composed device stack (striped
-// and/or tiered; see blockdev.NewStack). All read and write paths route
+// NewStack assembles a kernel over a composed device stack (a single
+// device, striped and/or tiered; see blockdev.NewStack) and installs the
+// cache's dirty-page writeback hook. All read and write paths route
 // through the stack, so per-backend queueing, congestion, and tier
 // residency are visible to prefetch policy.
 func NewStack(cfg Config, fsys *fs.FS, dev *blockdev.Stack, cache *pagecache.Cache) *VFS {
@@ -210,8 +204,8 @@ func (v *VFS) retryPolicy() blockdev.RetryPolicy {
 }
 
 // getPlug returns a reset per-request stack plug from the pool; read
-// paths submit all device I/O through it (never dev.Access* or member
-// devices directly).
+// paths submit all device I/O through it (the stack exports no other
+// read submission).
 func (v *VFS) getPlug() *blockdev.StackPlug {
 	p := v.plugs.Get().(*blockdev.StackPlug)
 	p.Reset()
@@ -361,20 +355,20 @@ func (v *VFS) blockRange(off, n int64) (lo, hi int64) {
 }
 
 // syncRead submits one blocking demand-read chunk through the plug's
-// passthrough lane, with bounded transient-fault retry and clamped
+// passthrough lane (StackPlug.SyncRead), with bounded transient-fault retry and clamped
 // exponential virtual-time backoff: transient device glitches are
 // absorbed here (charged as wait time), while persistent faults and
 // exhausted budgets surface to the caller.
 func (v *VFS) syncRead(tl *simtime.Timeline, plug *blockdev.StackPlug, off, bytes int64) error {
 	rp := v.retryPolicy()
-	err := plug.SyncAccess(tl, blockdev.OpRead, off, bytes)
+	err := plug.SyncRead(tl, off, bytes)
 	for attempt := 1; err != nil && blockdev.IsTransient(err) && attempt <= rp.Max; attempt++ {
 		start := tl.Now()
 		tl.WaitUntil(start.Add(rp.Backoff(attempt)), simtime.WaitIO)
 		telemetry.Current(tl).Child("vfs.retry_backoff", telemetry.CatRetry, start, tl.Now()).
 			Annotate("attempt", int64(attempt))
 		v.rec.Add(telemetry.CtrVFSDemandRetries, 1)
-		err = plug.SyncAccess(tl, blockdev.OpRead, off, bytes)
+		err = plug.SyncRead(tl, off, bytes)
 	}
 	return err
 }

@@ -1,10 +1,10 @@
 package vfs
 
 // The write-side device submission paths live here, apart from the read
-// paths in vfs.go: the plug-API gate (`make check`) greps the read-path
-// files for direct dev.Access* calls, while writes — fsync's blocking
-// lane and the cache's background writeback — still submit against the
-// device directly (Linux likewise plugs the read/readahead submission
+// paths in vfs.go: reads can only reach the device through a StackPlug,
+// while writes — fsync's blocking lane and the cache's background
+// writeback — submit against the stack directly with Stack.Write and
+// Stack.WriteAsync (Linux likewise plugs the read/readahead submission
 // paths; writeback batches through its own work lists).
 
 import (
@@ -13,21 +13,21 @@ import (
 	"repro/internal/telemetry"
 )
 
-// syncAccess is Device.Access plus bounded transient-fault retry with
+// syncWrite is Stack.Write plus bounded transient-fault retry with
 // clamped exponential virtual-time backoff — the blocking write path's
 // resilience: transient device glitches are absorbed here (charged as
 // wait time), while persistent faults and exhausted budgets surface to
 // the caller.
-func (v *VFS) syncAccess(tl *simtime.Timeline, op blockdev.Op, off, bytes int64) error {
+func (v *VFS) syncWrite(tl *simtime.Timeline, off, bytes int64) error {
 	rp := v.retryPolicy()
-	err := v.dev.Access(tl, op, off, bytes)
+	err := v.dev.Write(tl, off, bytes)
 	for attempt := 1; err != nil && blockdev.IsTransient(err) && attempt <= rp.Max; attempt++ {
 		start := tl.Now()
 		tl.WaitUntil(start.Add(rp.Backoff(attempt)), simtime.WaitIO)
 		telemetry.Current(tl).Child("vfs.retry_backoff", telemetry.CatRetry, start, tl.Now()).
 			Annotate("attempt", int64(attempt))
 		v.rec.Add(telemetry.CtrVFSDemandRetries, 1)
-		err = v.dev.Access(tl, op, off, bytes)
+		err = v.dev.Write(tl, off, bytes)
 	}
 	return err
 }
@@ -43,7 +43,7 @@ func (v *VFS) flushRun(at simtime.Time, inoID, lo, hi int64) (simtime.Time, erro
 	write := func(devOff, bytes int64) error {
 		submit := at
 		for attempt := 0; ; attempt++ {
-			done, err := v.dev.AccessAsync(submit, blockdev.OpWrite, devOff, bytes)
+			done, err := v.dev.WriteAsync(submit, devOff, bytes)
 			if err == nil {
 				if done > last {
 					last = done

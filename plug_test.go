@@ -72,7 +72,7 @@ func runPlugStreams(t *testing.T, plugged bool) (blockdev.Stats, simtime.Time) {
 			ready = r
 		}
 	}
-	return sys.Device().Stats(), ready
+	return sys.Stack().Stats(), ready
 }
 
 func TestPlugCutsDeviceCommandsAtEqualBytes(t *testing.T) {

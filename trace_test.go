@@ -47,7 +47,7 @@ func faultedReadSystem(t *testing.T) *crossprefetch.System {
 	if err := sys.CreateSynthetic(tl, "data", 8<<20); err != nil {
 		t.Fatal(err)
 	}
-	sys.Device().SetFaultInjector(faultinject.New(faultinject.Plan{
+	sys.Stack().SetFaultInjector(faultinject.New(faultinject.Plan{
 		Seed:             1,
 		TransientRepeats: 1,
 		Ranges: []faultinject.RangeFault{
