@@ -147,9 +147,6 @@ type Config struct {
 	// (vfs.ErrShed), then clamps the readahead window (see internal/vfs).
 	// Off (the default) overload degrades exactly as before.
 	Brownout bool
-	// BrownoutClampPages is the readahead window under level-2 brownout
-	// (default 8 pages).
-	BrownoutClampPages int64
 	// Scorecard enables the online prefetch-effectiveness scorecards:
 	// windowed per-inode and per-tenant accuracy / coverage / pollution /
 	// timeliness, partitioned by page origin (see telemetry.Scorecard).
@@ -238,7 +235,6 @@ func NewSystem(cfg Config) *System {
 		DemandRetries:      cfg.DemandRetries,
 		CongestionLimit:    cfg.CongestionLimit,
 		Brownout:           cfg.Brownout,
-		BrownoutClampPages: cfg.BrownoutClampPages,
 		Sched: blockdev.PlugConfig{
 			Plugged:          cfg.Plug,
 			QueueDepth:       cfg.QueueDepth,

@@ -1,9 +1,11 @@
 package crosslib
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/simtime"
+	"repro/internal/telemetry"
 	"repro/internal/vfs"
 )
 
@@ -168,5 +170,68 @@ func TestReverseScanHitsPrefetchedPages(t *testing.T) {
 	if misses > 32 {
 		t.Fatalf("reverse scan missed %d of %d reads; prefetch windows are "+
 			"not covering the next access", misses, reads)
+	}
+}
+
+// TestRingWriteFeedsEnsemble: a write submitted through a ring runs the
+// same library pre-work as File.WriteAt — with the ensemble live, the
+// same sequential write script leaves the same ensemble state (shadow
+// books and predictor table) either way. Before the two shared one
+// helper, ring writes fed only the per-descriptor counter and never
+// reached the ensemble.
+func TestRingWriteFeedsEnsemble(t *testing.T) {
+	type state struct {
+		shadow [3]int64
+		rows   []PredictorRow
+	}
+	run := func(ring bool) state {
+		v := newKernel(1_000_000)
+		rec := telemetry.NewRecorder(0)
+		v.SetTelemetry(rec)
+		v.Cache().SetTelemetry(rec)
+		opt := CrossPredictOpt.Options()
+		opt.Ensemble = true
+		rt := New(v, opt)
+		rt.SetTelemetry(rec)
+		tl := simtime.NewTimeline(0)
+		f, err := rt.Create(tl, "w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rt.NewRing(1, 4)
+		buf := make([]byte, 16<<10)
+		for i := int64(0); i < 256; i++ {
+			off := i * int64(len(buf))
+			if !ring {
+				if _, err := f.WriteAt(tl, buf, off); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if err := r.PrepWrite(f, buf, off, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+			r.Submit(tl)
+			if cq := r.Reap(tl, 1); len(cq) != 1 || cq[0].Err != nil {
+				t.Fatalf("ring write %d: %+v", i, cq)
+			}
+		}
+		return state{
+			shadow: [3]int64{rec.CounterValue(telemetry.CtrPredShadowIssuedPages),
+				rec.CounterValue(telemetry.CtrPredShadowHitPages),
+				rec.CounterValue(telemetry.CtrPredShadowExpiredPages)},
+			rows: rt.PredictorTable(),
+		}
+	}
+	sync, ring := run(false), run(true)
+	if sync.shadow == [3]int64{} || len(sync.rows) != 1 || sync.rows[0].Observes == 0 {
+		t.Fatalf("the write script must move the ensemble through WriteAt: shadow %v, rows %+v",
+			sync.shadow, sync.rows)
+	}
+	if ring.shadow != sync.shadow {
+		t.Errorf("shadow issued/hit/expired pages: ring %v, WriteAt %v", ring.shadow, sync.shadow)
+	}
+	if !reflect.DeepEqual(ring.rows, sync.rows) {
+		t.Errorf("predictor table:\n ring    %+v\n WriteAt %+v", ring.rows, sync.rows)
 	}
 }

@@ -308,29 +308,38 @@ func (f *File) WriteAt(tl *simtime.Timeline, data []byte, off int64) (int, error
 	bs := f.rt.v.BlockSize()
 	lo := off / bs
 	hi := (off + int64(len(data)) + bs - 1) / bs
+	op := f.observeWrite(tl, lo, hi)
+	n, err := f.kf.WriteAt(tl, data, off)
+	f.sf.tree.MarkCached(tl, lo, hi)
+	f.sf.touch(tl.Now())
+	f.rt.maybeEvict(tl, op)
+	return n, err
+}
+
+// observeWrite runs the library-side write pre-work shared by WriteAt
+// and the ring submission path (Ring.Submit) for a write of blocks
+// [lo, hi): the write feeds the pattern state — the ensemble's arms and
+// shadow books, or the per-descriptor predictor — without issuing
+// prefetch, and drops the parked intents it overlaps. Returns the op
+// tick for the caller's maybeEvict.
+func (f *File) observeWrite(tl *simtime.Timeline, lo, hi int64) int64 {
+	o := f.rt.opt
 	switch {
 	case o.Predict && f.sf.ens != nil:
-		// Writes feed the ensemble's pattern state (and shadow books)
-		// without issuing prefetch, mirroring the counter-only path.
 		f.ensembleObserve(tl, lo, hi, false)
 	case o.Predict && f.pred != nil:
 		f.predMu.Lock()
 		f.pred.Observe(lo, hi-lo)
 		f.predMu.Unlock()
 	}
-	op := f.rt.tick()
-	n, err := f.kf.WriteAt(tl, data, off)
-	f.sf.tree.MarkCached(tl, lo, hi)
 	if o.BatchIntents {
-		// The write just cached [lo, hi): any parked intent overlapping
-		// it is (partially) satisfied and must not ride the next vectored
-		// flush — re-requesting written pages wastes the crossing the
+		// The write caches [lo, hi): any parked intent overlapping it is
+		// (partially) satisfied and must not ride the next vectored flush
+		// — re-requesting written pages wastes the crossing the
 		// aggregator exists to save.
 		f.sf.invalidateIntents(lo, hi)
 	}
-	f.sf.touch(tl.Now())
-	f.rt.maybeEvict(tl, op)
-	return n, err
+	return f.rt.tick()
 }
 
 // Append writes at EOF.

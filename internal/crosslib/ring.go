@@ -48,9 +48,12 @@ type ringOp struct {
 // through the shared per-tenant lane so the device sees their combined
 // depth.
 //
-// The library shim still runs on the ring path: read submissions feed
-// the descriptor's predictor (which may issue background prefetch),
-// flush overlapping parked intents, and update the shared range tree;
+// The library shim still runs on the ring path, with the same pre-work
+// as the synchronous calls: read submissions feed the predictor (which
+// may issue background prefetch) and flush overlapping parked intents
+// (File.observeAccess), write submissions feed the pattern state and
+// drop the parked intents they overlap (File.observeWrite), and both
+// update the shared range tree;
 // prefetch submissions are elided entirely when the user-level bitmap
 // proves the range resident — the same crossing savings as the
 // synchronous path, amortized further by batching.
@@ -236,11 +239,8 @@ func (r *Ring) Submit(tl *simtime.Timeline) int {
 		case vfs.RingWrite:
 			q.lo = q.off / bs
 			q.hi = (q.off + int64(len(q.buf)) + bs - 1) / bs
-			if shimmed && o.Predict && f.pred != nil {
-				f.predMu.Lock()
-				f.pred.Observe(q.lo, q.hi-q.lo)
-				f.predMu.Unlock()
-				op = rt.tick()
+			if shimmed {
+				op = f.observeWrite(tl, q.lo, q.hi)
 			}
 		case vfs.RingPrefetch:
 			// Mirror the kernel's clamp exactly so the lib-issued pages

@@ -98,6 +98,27 @@ type LookupResult struct {
 	touched []*page // scratch: pages to feed to LRU aging
 }
 
+// AppendMissingRuns appends the maximal runs of absent pages of the
+// looked-up range, which started at block lo, to dst (allocation-free
+// when dst has capacity).
+func (r *LookupResult) AppendMissingRuns(dst []bitmap.Run, lo int64) []bitmap.Run {
+	runStart := int64(-1)
+	for i, present := range r.Present {
+		if !present {
+			if runStart < 0 {
+				runStart = lo + int64(i)
+			}
+		} else if runStart >= 0 {
+			dst = append(dst, bitmap.Run{Lo: runStart, Hi: lo + int64(i)})
+			runStart = -1
+		}
+	}
+	if runStart >= 0 {
+		dst = append(dst, bitmap.Run{Lo: runStart, Hi: lo + int64(len(r.Present))})
+	}
+	return dst
+}
+
 // LookupRange walks the page index for pages [lo, hi) on the regular I/O
 // (slow) path: it charges the tree lock shared for the walk, counts hits
 // and misses, touches LRU state, and clears any readahead marker it

@@ -209,10 +209,12 @@ func Audit(s *Snapshot, in AuditInput) error {
 	}
 
 	// Cache-poisoning guard: every page inserted CLEAN was backed by a
-	// successful device read (demand fetch or prefetch). A failed read
-	// that still inserted pages breaks this inequality.
+	// successful device read (demand fetch or prefetch) or is a hole's
+	// zero-fill. A failed read that still inserted pages breaks this
+	// inequality.
 	cleanIns := ins - s.Counter(CtrCacheDirtyInsertedPages)
-	readBacked := s.Counter(CtrVFSDemandFetchPages) + s.Counter(CtrVFSPrefetchDevicePages)
+	readBacked := s.Counter(CtrVFSDemandFetchPages) + s.Counter(CtrVFSPrefetchDevicePages) +
+		s.Counter(CtrVFSZeroFillPages)
 	if cleanIns > readBacked {
 		fail("clean cache insertions %d > read-backed pages %d (poisoned cache entries?)", cleanIns, readBacked)
 	}

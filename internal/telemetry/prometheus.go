@@ -29,8 +29,7 @@ func promLabel(s string) string {
 }
 
 // counterHelp is the HELP text per counter, indexed by identifier like
-// counterNames — `make ctrgate` asserts every declared counter appears
-// here, and the conformance test rejects empty entries.
+// counterNames; TestHelpTablesComplete rejects empty entries.
 var counterHelp = [numCounters]string{
 	CtrLibIssuedPages:             "Pages CROSS-LIB asked readahead_info to prefetch, before the kernel limit clamp.",
 	CtrKernelRequestedPages:       "Pages readahead_info saw requested after the file clamp, before the limit clamp.",
@@ -82,10 +81,11 @@ var counterHelp = [numCounters]string{
 	CtrTierPrefetchPromotions:     "Tier promotions driven by cross-tier prefetch landing remote pages locally.",
 	CtrTierDemotions:              "Extents demoted from local storage under the capacity watermarks.",
 	CtrTierCopybackBytes:          "Bytes copied back to the remote tier when demoting dirty extents.",
+	CtrVFSZeroFillPages:           "Hole pages the VFS demand paths zero-filled into the page cache without device I/O.",
 }
 
 // outcomeHelp is the HELP text per prefetch-decision outcome, indexed by
-// identifier (ctrgate coverage, same as counterHelp).
+// identifier (TestHelpTablesComplete coverage, same as counterHelp).
 var outcomeHelp = [numOutcomes]string{
 	OutcomeIssued:               "intent reached the kernel as readahead work",
 	OutcomeSavedByBitmap:        "kernel crossing elided by the user-level bitmap",

@@ -172,14 +172,16 @@ const (
 	CtrTierPrefetchPromotions
 	CtrTierDemotions
 	CtrTierCopybackBytes
+	// CtrVFSZeroFillPages is the pages of unmapped (hole) blocks the
+	// demand paths inserted as zero-fill, without device I/O.
+	CtrVFSZeroFillPages
 
 	numCounters
 )
 
 // counterNames is the export name table (JSON/CSV/Prometheus keys),
-// indexed by identifier so `make ctrgate` can assert every declared
-// counter has a name (a missing entry is an empty string, which the
-// table-completeness test rejects).
+// indexed by identifier: a declared counter without a name is an empty
+// entry, which TestHelpTablesComplete rejects.
 var counterNames = [numCounters]string{
 	CtrLibIssuedPages:             "lib_issued_pages",
 	CtrKernelRequestedPages:       "kernel_requested_pages",
@@ -231,6 +233,7 @@ var counterNames = [numCounters]string{
 	CtrTierPrefetchPromotions:     "tier_prefetch_promotions",
 	CtrTierDemotions:              "tier_demotions",
 	CtrTierCopybackBytes:          "tier_copyback_bytes",
+	CtrVFSZeroFillPages:           "vfs_zero_fill_pages",
 }
 
 // String names the counter (JSON/CSV key).

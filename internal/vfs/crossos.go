@@ -92,7 +92,6 @@ func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bi
 	sp := telemetry.Begin(tl, "vfs.readahead_info", telemetry.CatCPU)
 	defer sp.End(tl)
 	v.enter(tl, SysReadaheadInfo)
-	bs := v.BlockSize()
 	fileBlocks := f.ino.Blocks()
 
 	ranges := req.Ranges
@@ -107,26 +106,11 @@ func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bi
 	info.CapacityPages = v.cache.Capacity()
 	info.FreePages = v.cache.Free()
 
-	// Effective per-range limit: static kernel cap, or the caller's
-	// override when the kernel is configured to allow it. Each range is
-	// an independent readahead window, so the limit applies per range.
-	limit := v.cfg.RA.MaxPages
-	if v.cfg.AllowLimitOverride && req.LimitOverride > limit {
-		limit = req.LimitOverride
-		if maxPages := v.cfg.MaxPrefetchBytes / bs; limit > maxPages {
-			limit = maxPages
-		}
-	}
-	// Level-2 brownout clamps the window below even the static cap: the
-	// excess is counted rejected, so the clamp identities still hold.
-	// The clamp also disables the cross-tier depth boost below — under
-	// reclaim pressure remote residency must not amplify I/O.
+	// Each range is an independent readahead window: the limit applies
+	// per range. Level-2 brownout clamps every window below even the
+	// static cap (the excess is counted rejected, so the clamp identities
+	// still hold).
 	clamped := v.pressureCheck(tl) >= BrownoutClamped
-	if clamped {
-		if clamp := v.brownoutClampPages(); limit > clamp {
-			limit = clamp
-		}
-	}
 
 	var missing []bitmap.Run
 	var reqTotal, clampTotal int64
@@ -140,23 +124,8 @@ func (f *File) ReadaheadInfo(tl *simtime.Timeline, req CacheInfoRequest, dst *bi
 		if rg.Bytes > 0 && hi > lo {
 			requested = true
 			preClamp := hi - lo
-			// Cross-tier prefetch: a remote-resident range earns an
-			// RTT-scaled deeper window (never under the level-2 clamp,
-			// always within the absolute prefetch byte budget).
-			rlimit := limit
-			if boost := f.rangeBoost(lo, hi); boost > 1 && !clamped {
-				rlimit *= boost
-				if maxPages := v.cfg.MaxPrefetchBytes / bs; rlimit > maxPages {
-					rlimit = maxPages
-				}
-			}
-			if hi-lo > rlimit {
-				hi = lo + rlimit
-			}
+			hi = f.clampWindow(lo, hi, req.LimitOverride, clamped)
 			granted := hi - lo
-			v.rec.Add(telemetry.CtrKernelRequestedPages, preClamp)
-			v.rec.Add(telemetry.CtrKernelAdmittedPages, granted)
-			v.rec.Add(telemetry.CtrKernelRejectedPages, preClamp-granted)
 			reqTotal += preClamp
 			clampTotal += preClamp - granted
 			info.RequestedPages += granted

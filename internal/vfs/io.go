@@ -66,25 +66,9 @@ func (f *File) ReadAt(tl *simtime.Timeline, dst []byte, off int64) (int, error) 
 	res := &sc.res
 
 	// Demand-fetch the missing pages synchronously.
-	missed := res.PresentCount < hi-lo
-	if missed {
-		runs := sc.runs[:0]
-		runStart := int64(-1)
-		for i := lo; i < hi; i++ {
-			if !res.Present[i-lo] {
-				if runStart < 0 {
-					runStart = i
-				}
-			} else if runStart >= 0 {
-				runs = append(runs, bitmap.Run{Lo: runStart, Hi: i})
-				runStart = -1
-			}
-		}
-		if runStart >= 0 {
-			runs = append(runs, bitmap.Run{Lo: runStart, Hi: hi})
-		}
-		sc.runs = runs
-		if err := f.fetchRuns(tl, runs); err != nil {
+	if res.PresentCount < hi-lo {
+		sc.runs = res.AppendMissingRuns(sc.runs[:0], lo)
+		if err := f.fetchRuns(tl, sc.runs); err != nil {
 			// The demand data never arrived; nothing was copied out.
 			return 0, err
 		}
@@ -124,14 +108,8 @@ func (f *File) ReadAt(tl *simtime.Timeline, dst []byte, off int64) (int, error) 
 	// that even when the async lane is backlogged.
 	f.waitInflight(tl, res.ReadyAt, n)
 
-	// Copy to user space.
-	pages := hi - lo
-	copyStart := tl.Now()
-	tl.Advance(simtime.Duration(pages) * f.v.cfg.Costs.PageCopy)
-	telemetry.Current(tl).Child("vfs.copy_out", telemetry.CatCopy, copyStart, tl.Now()).
-		Annotate("pages", pages)
-	read := f.ino.ReadAt(dst[:n], off)
-	return read, nil
+	f.v.copyOut(tl, hi-lo)
+	return f.ino.ReadAt(dst[:n], off), nil
 }
 
 // waitInflight blocks the thread for in-flight prefetch I/O covering a
@@ -168,49 +146,18 @@ func (f *File) SeekTo(off int64) {
 	f.mu.Unlock()
 }
 
-// WriteAt implements pwrite(2) with buffered (write-back) semantics: data
-// lands in the page cache dirty and in the backing store; device writes
-// happen on eviction or fsync. Partial-block edges over existing data
-// perform read-modify-write fetches.
+// WriteAt implements pwrite(2) with buffered (write-back) semantics (see
+// writeBuffered).
 func (f *File) WriteAt(tl *simtime.Timeline, data []byte, off int64) (int, error) {
 	defer f.v.observeSyscall(tl, SysWrite)()
 	f.v.enter(tl, SysWrite)
 	if len(data) == 0 {
 		return 0, nil
 	}
-	bs := f.v.BlockSize()
-	n := int64(len(data))
-	lo, hi := f.v.blockRange(off, n)
-	oldSize := f.ino.Size()
-
-	// RMW: a partial first/last block that exists on disk and is not
-	// cached must be fetched first.
-	var rmw []bitmap.Run
-	if off%bs != 0 && off < oldSize {
-		if res := f.fc.LookupRange(tl, lo, lo+1); res.PresentCount == 0 {
-			rmw = append(rmw, bitmap.Run{Lo: lo, Hi: lo + 1})
-		}
+	if err := f.writeBuffered(tl, data, off, 0); err != nil {
+		return 0, err
 	}
-	if (off+n)%bs != 0 && off+n < oldSize && hi-1 != lo {
-		if res := f.fc.LookupRange(tl, hi-1, hi); res.PresentCount == 0 {
-			rmw = append(rmw, bitmap.Run{Lo: hi - 1, Hi: hi})
-		}
-	}
-	if len(rmw) > 0 {
-		// A failed read-modify-write edge fetch fails the write: merging
-		// into a block we could not read would corrupt its other bytes.
-		if err := f.fetchRuns(tl, rmw); err != nil {
-			return 0, err
-		}
-	}
-
-	// Move the data: backing store now, device on writeback.
-	f.ino.WriteAt(data, off)
-	tl.Advance(simtime.Duration(hi-lo) * f.v.cfg.Costs.PageCopy)
-	f.fc.InsertRange(tl, lo, hi, pagecache.InsertOptions{Dirty: true, MarkerAt: -1})
-	f.fc.SetDirtyRange(tl, lo, hi)
-	f.v.balanceDirty(tl)
-	return int(n), nil
+	return len(data), nil
 }
 
 // balanceDirty throttles buffered writers (balance_dirty_pages): once
@@ -234,50 +181,28 @@ func (f *File) Append(tl *simtime.Timeline, data []byte) (int, error) {
 	return f.WriteAt(tl, data, f.ino.Size())
 }
 
-// Fsync writes back all dirty pages synchronously, charging the caller.
-// On a device error the not-yet-written blocks are re-marked dirty
-// (CollectDirtyRuns cleared them optimistically), so a failed fsync
-// leaves the data cached and dirty for a later retry rather than
-// silently dropping the writeback obligation.
+// Fsync writes back all dirty pages synchronously through the blocking
+// lane, charging the caller. On a device error the not-yet-written
+// blocks are re-marked dirty (CollectDirtyRuns cleared them
+// optimistically), so a failed fsync leaves the data cached and dirty
+// for a later retry rather than silently dropping the writeback
+// obligation.
 func (f *File) Fsync(tl *simtime.Timeline) error {
 	defer f.v.observeSyscall(tl, SysFsync)()
 	f.v.enter(tl, SysFsync)
-	runs := f.fc.CollectDirtyRuns(tl, 0, f.ino.Blocks())
-	for i, r := range runs {
-		if err := f.syncWriteRun(tl, r); err != nil {
-			for _, later := range runs[i+1:] {
+	w := f.walk(f.fc.CollectDirtyRuns(tl, 0, f.ino.Blocks()))
+	for c, ok := w.next(); ok; c, ok = w.next() {
+		if c.hole() {
+			continue
+		}
+		if err := f.v.retrying(tl, func() error { return f.v.dev.Write(tl, c.off, c.bytes) }); err != nil {
+			f.fc.SetDirtyRange(tl, c.lo, w.hi)
+			f.v.rec.Event(tl.Now(), telemetry.OutcomeDeviceFault, f.ino.ID(), c.lo, w.hi)
+			for _, later := range w.runs {
 				f.fc.SetDirtyRange(tl, later.Lo, later.Hi)
 			}
 			f.v.rec.Add(telemetry.CtrVFSDemandIOErrors, 1)
 			return err
-		}
-	}
-	return nil
-}
-
-// syncWriteRun writes back one run of blocks through the blocking lane,
-// chunked at the VFS request size over the run's physical segments. On
-// error the unwritten tail of the run is re-marked dirty.
-func (f *File) syncWriteRun(tl *simtime.Timeline, r bitmap.Run) error {
-	bs := f.v.BlockSize()
-	for _, pr := range f.ino.MapRange(r.Lo, r.Hi) {
-		lo := pr.Logical
-		devOff := pr.Phys * bs
-		remaining := pr.Count * bs
-		for remaining > 0 {
-			chunk := remaining
-			if chunk > maxVFSRequest {
-				chunk = maxVFSRequest
-			}
-			if err := f.v.syncWrite(tl, devOff, chunk); err != nil {
-				f.fc.SetDirtyRange(tl, lo, r.Hi)
-				f.v.rec.Event(tl.Now(), telemetry.OutcomeDeviceFault, f.ino.ID(), lo, r.Hi)
-				return err
-			}
-			cb := (chunk + bs - 1) / bs
-			lo += cb
-			devOff += chunk
-			remaining -= chunk
 		}
 	}
 	return nil
@@ -304,21 +229,7 @@ func (f *File) Readahead(tl *simtime.Timeline, off, nbytes int64) int64 {
 	}
 	// The legacy path walks the cache tree (no bitmap fast path).
 	res := f.fc.LookupRange(tl, lo, hi)
-	var runs []bitmap.Run
-	runStart := int64(-1)
-	for i := lo; i < hi; i++ {
-		if !res.Present[i-lo] {
-			if runStart < 0 {
-				runStart = i
-			}
-		} else if runStart >= 0 {
-			runs = append(runs, bitmap.Run{Lo: runStart, Hi: i})
-			runStart = -1
-		}
-	}
-	if runStart >= 0 {
-		runs = append(runs, bitmap.Run{Lo: runStart, Hi: hi})
-	}
+	runs := res.AppendMissingRuns(nil, lo)
 	// readahead(2) is advisory: a device fault inserts nothing and is
 	// reported only through the bytes-submitted return value.
 	if issued, err := f.prefetchRuns(tl, tl.Now(), runs, -1, telemetry.OriginReadahead, telemetry.ArmNone); err != nil {

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/bitmap"
@@ -198,24 +199,39 @@ func (v *VFS) RingStats() blockdev.LaneSetStats { return v.lanes.Stats() }
 // this thread. Insert costs are charged to the dispatching timeline even
 // for chunks other tenants staged — the SQPOLL thread happens to run on
 // this tenant's clock.
+//
+// A failed merged command fails every chunk it carried with the same
+// error; like faultEvents on the sync path, it is traced as one
+// device-fault event (the audit bounds those by injected faults).
 func (v *VFS) ringDispatch(tl *simtime.Timeline) {
-	for _, r := range v.lanes.Dispatch(tl.Now()) {
-		v.completeRingChunk(tl, r.Req.Tag.(*ringChunk), r)
+	res := v.lanes.Dispatch(tl.Now())
+	for i, r := range res {
+		newFault := r.Err != nil && !slices.ContainsFunc(res[:i], func(p blockdev.LaneResult) bool { return p.Err == r.Err })
+		v.completeRingChunk(tl, r.Req.Tag.(*ringChunk), r, newFault)
 	}
 }
 
-// completeRingChunk settles one dispatched chunk: inserts its pages (with
-// the device completion as ready time), feeds the cross-layer counters,
-// and records the queue-wait vs service attribution on the dispatcher's
-// span.
-func (v *VFS) completeRingChunk(tl *simtime.Timeline, c *ringChunk, r blockdev.LaneResult) {
+// completeRingChunk settles one dispatched chunk: lands its pages (with
+// the device completion as ready time), and records the queue-wait vs
+// service attribution on the dispatcher's span. newFault traces a failed
+// chunk's device fault.
+func (v *VFS) completeRingChunk(tl *simtime.Timeline, c *ringChunk, r blockdev.LaneResult, newFault bool) {
 	defer c.wg.Done()
 	if r.Err != nil {
 		// On a partially dispatched stack request the issued pieces really
-		// moved bytes: count and insert them (the data is good — this is
-		// not poisoning), then fail the SQE for the rest.
-		v.insertRingPieces(tl, c, r)
-		v.rec.Event(r.Done, telemetry.OutcomeDeviceFault, c.f.ino.ID(), c.lo, c.lo+c.blocks)
+		// moved bytes: land them (the data is good — this is not
+		// poisoning; the cross-layer identities, device read bytes ==
+		// demand + prefetch pages, require counting them), then fail the
+		// SQE for the rest.
+		bs := v.BlockSize()
+		for _, pc := range r.Pieces {
+			if pc.Issued {
+				c.land(tl, c.lo+pc.Delta/bs, (pc.Bytes+bs-1)/bs, r.Submitted, pc.Done)
+			}
+		}
+		if newFault {
+			v.rec.Event(r.Done, telemetry.OutcomeDeviceFault, c.f.ino.ID(), c.lo, c.lo+c.blocks)
+		}
 		if !c.prefetch {
 			v.rec.Add(telemetry.CtrVFSDemandIOErrors, 1)
 		}
@@ -229,105 +245,54 @@ func (v *VFS) completeRingChunk(tl *simtime.Timeline, c *ringChunk, r blockdev.L
 		sp.Child("dev.async_read", telemetry.CatDevice, r.Submitted, r.Done).
 			Annotate("bytes", c.blocks*v.BlockSize())
 	}
-	if c.prefetch {
-		v.rec.Add(telemetry.CtrVFSPrefetchDevicePages, c.blocks)
-		telemetry.CountPages(tl, telemetry.PagePrefetch, c.blocks)
-		v.rec.Observe(telemetry.HistPrefetchLat, int64(r.Done.Sub(r.Submitted)))
-		n := c.f.fc.InsertRange(tl, c.lo, c.lo+c.blocks, pagecache.InsertOptions{
-			ReadyAt:  r.Done,
-			MarkerAt: -1,
-			Origin:   telemetry.OriginRing,
-			Tenant:   c.tenant,
-			Arm:      c.arm,
-		})
-		v.rec.Add(telemetry.CtrVFSPrefetchInsertedPages, n)
-		v.rec.Add(telemetry.CtrKernelPrefetchedPages, n)
-	} else {
-		v.rec.Add(telemetry.CtrVFSDemandFetchPages, c.blocks)
-		telemetry.CountPages(tl, telemetry.PageDemand, c.blocks)
-		c.f.fc.InsertRange(tl, c.lo, c.lo+c.blocks, pagecache.InsertOptions{
-			ReadyAt:  r.Done,
-			MarkerAt: -1,
-			Tenant:   c.tenant,
-		})
-	}
+	c.land(tl, c.lo, c.blocks, r.Submitted, r.Done)
 	c.pend.advance(r.Done)
 }
 
-// insertRingPieces accounts the issued member pieces of a failed stack
-// request: their device bytes moved, so the cross-layer identities
-// (device read bytes == demand + prefetch pages) require counting them,
-// and the fetched data is inserted with each piece's own ready time.
-func (v *VFS) insertRingPieces(tl *simtime.Timeline, c *ringChunk, r blockdev.LaneResult) {
-	bs := v.BlockSize()
-	for _, pc := range r.Pieces {
-		if !pc.Issued {
-			continue
-		}
-		blockLo := c.lo + pc.Delta/bs
-		blocks := (pc.Bytes + bs - 1) / bs
-		opts := pagecache.InsertOptions{ReadyAt: pc.Done, MarkerAt: -1, Tenant: c.tenant}
-		if c.prefetch {
-			v.rec.Add(telemetry.CtrVFSPrefetchDevicePages, blocks)
-			telemetry.CountPages(tl, telemetry.PagePrefetch, blocks)
-			opts.Origin = telemetry.OriginRing
-			opts.Arm = c.arm
-			n := c.f.fc.InsertRange(tl, blockLo, blockLo+blocks, opts)
-			v.rec.Add(telemetry.CtrVFSPrefetchInsertedPages, n)
-			v.rec.Add(telemetry.CtrKernelPrefetchedPages, n)
-		} else {
-			v.rec.Add(telemetry.CtrVFSDemandFetchPages, blocks)
-			telemetry.CountPages(tl, telemetry.PageDemand, blocks)
-			c.f.fc.InsertRange(tl, blockLo, blockLo+blocks, opts)
-		}
+// land accounts and inserts pages [lo, lo+blocks) of the chunk, read from
+// the device between at and done, as demand or prefetch pages of the
+// chunk's tenant.
+func (c *ringChunk) land(tl *simtime.Timeline, lo, blocks int64, at, done simtime.Time) {
+	if !c.prefetch {
+		c.f.landDemand(tl, lo, blocks, done, c.tenant)
+		return
 	}
+	n := c.f.landPrefetch(tl, lo, blocks, at, done, pagecache.InsertOptions{
+		MarkerAt: -1,
+		Origin:   telemetry.OriginRing,
+		Tenant:   c.tenant,
+		Arm:      c.arm,
+	})
+	c.f.v.rec.Add(telemetry.CtrKernelPrefetchedPages, n)
 }
 
 // stageRuns cuts missing logical-block runs into VFS-sized chunks over
 // the file's physical extents and stages them on the tenant's lane. Hole
-// blocks are zero-fill: inserted immediately, no device work.
+// blocks of a demand read are zero-fill: inserted immediately, no device
+// work; a prefetch skips them.
 func (v *VFS) stageRuns(tl *simtime.Timeline, tenant int, f *File, runs []bitmap.Run,
 	pend *ringPending, wg *sync.WaitGroup, prefetch bool, arm telemetry.Arm) {
-	bs := v.BlockSize()
-	for _, r := range runs {
-		cursor := r.Lo
-		for _, pr := range f.ino.MapRange(r.Lo, r.Hi) {
-			if pr.Logical > cursor && !prefetch {
-				f.fc.InsertRange(tl, cursor, pr.Logical,
-					pagecache.InsertOptions{MarkerAt: -1, Tenant: tenant})
+	w := f.walk(runs)
+	for c, ok := w.next(); ok; c, ok = w.next() {
+		if c.hole() {
+			if !prefetch {
+				f.landHole(tl, c.lo, c.blocks, tenant)
 			}
-			lo := pr.Logical
-			devOff := pr.Phys * bs
-			remaining := pr.Count * bs
-			for remaining > 0 {
-				chunk := remaining
-				if chunk > maxVFSRequest {
-					chunk = maxVFSRequest
-				}
-				chunkBlocks := (chunk + bs - 1) / bs
-				wg.Add(1)
-				v.lanes.Stage(blockdev.LaneRequest{
-					Tenant:   tenant,
-					Op:       blockdev.OpRead,
-					Off:      devOff,
-					Bytes:    chunk,
-					Prefetch: prefetch,
-					Tag: &ringChunk{
-						pend: pend, wg: wg, f: f,
-						lo: lo, blocks: chunkBlocks, tenant: tenant, prefetch: prefetch,
-						arm: arm,
-					},
-				}, tl.Now())
-				lo += chunkBlocks
-				devOff += chunk
-				remaining -= chunk
-			}
-			cursor = pr.Logical + pr.Count
+			continue
 		}
-		if cursor < r.Hi && !prefetch {
-			f.fc.InsertRange(tl, cursor, r.Hi,
-				pagecache.InsertOptions{MarkerAt: -1, Tenant: tenant})
-		}
+		wg.Add(1)
+		v.lanes.Stage(blockdev.LaneRequest{
+			Tenant:   tenant,
+			Op:       blockdev.OpRead,
+			Off:      c.off,
+			Bytes:    c.bytes,
+			Prefetch: prefetch,
+			Tag: &ringChunk{
+				pend: pend, wg: wg, f: f,
+				lo: c.lo, blocks: c.blocks, tenant: tenant, prefetch: prefetch,
+				arm: arm,
+			},
+		}, tl.Now())
 	}
 }
 
@@ -348,76 +313,27 @@ func (v *VFS) ringRead(tl *simtime.Timeline, tenant int, sq *RingSQE,
 	lo, hi := v.blockRange(sq.Off, n)
 	sc.res.Tenant = tenant
 	f.fc.LookupRangeInto(tl, lo, hi, &sc.res)
-	res := &sc.res
-	pend.advance(res.ReadyAt)
-
-	if res.PresentCount < hi-lo {
-		runs := sc.runs[:0]
-		runStart := int64(-1)
-		for i := lo; i < hi; i++ {
-			if !res.Present[i-lo] {
-				if runStart < 0 {
-					runStart = i
-				}
-			} else if runStart >= 0 {
-				runs = append(runs, bitmap.Run{Lo: runStart, Hi: i})
-				runStart = -1
-			}
-		}
-		if runStart >= 0 {
-			runs = append(runs, bitmap.Run{Lo: runStart, Hi: hi})
-		}
-		sc.runs = runs
-		v.stageRuns(tl, tenant, f, runs, pend, wg, false, telemetry.ArmNone)
+	pend.advance(sc.res.ReadyAt)
+	if sc.res.PresentCount < hi-lo {
+		sc.runs = sc.res.AppendMissingRuns(sc.runs[:0], lo)
+		v.stageRuns(tl, tenant, f, sc.runs, pend, wg, false, telemetry.ArmNone)
 	}
-
-	pages := hi - lo
-	copyStart := tl.Now()
-	tl.Advance(simtime.Duration(pages) * v.cfg.Costs.PageCopy)
-	telemetry.Current(tl).Child("vfs.copy_out", telemetry.CatCopy, copyStart, tl.Now()).
-		Annotate("pages", pages)
+	v.copyOut(tl, hi-lo)
 	return int64(f.ino.ReadAt(sq.Buf[:n], sq.Off))
 }
 
-// ringWrite services one buffered write SQE, mirroring WriteAt: RMW edge
-// fetches (blocking — merging into an unreadable block would corrupt it),
-// dirty insertion, and the dirty-balance throttle, which doubles as the
-// write-side admission control of the ring path.
+// ringWrite services one buffered write SQE with WriteAt's body; its
+// dirty-balance throttle doubles as the write-side admission control of
+// the ring path.
 func (v *VFS) ringWrite(tl *simtime.Timeline, tenant int, sq *RingSQE, pend *ringPending) int64 {
-	f := sq.F
 	if len(sq.Buf) == 0 || sq.Off < 0 {
 		return 0
 	}
-	bs := v.BlockSize()
-	n := int64(len(sq.Buf))
-	lo, hi := v.blockRange(sq.Off, n)
-	oldSize := f.ino.Size()
-
-	var rmw []bitmap.Run
-	if sq.Off%bs != 0 && sq.Off < oldSize {
-		if res := f.fc.LookupRange(tl, lo, lo+1); res.PresentCount == 0 {
-			rmw = append(rmw, bitmap.Run{Lo: lo, Hi: lo + 1})
-		}
+	if err := sq.F.writeBuffered(tl, sq.Buf, sq.Off, tenant); err != nil {
+		pend.fail(err, tl.Now())
+		return 0
 	}
-	if (sq.Off+n)%bs != 0 && sq.Off+n < oldSize && hi-1 != lo {
-		if res := f.fc.LookupRange(tl, hi-1, hi); res.PresentCount == 0 {
-			rmw = append(rmw, bitmap.Run{Lo: hi - 1, Hi: hi})
-		}
-	}
-	if len(rmw) > 0 {
-		if err := f.fetchRuns(tl, rmw); err != nil {
-			pend.fail(err, tl.Now())
-			return 0
-		}
-	}
-
-	f.ino.WriteAt(sq.Buf, sq.Off)
-	tl.Advance(simtime.Duration(hi-lo) * v.cfg.Costs.PageCopy)
-	f.fc.InsertRange(tl, lo, hi,
-		pagecache.InsertOptions{Dirty: true, MarkerAt: -1, Tenant: tenant})
-	f.fc.SetDirtyRange(tl, lo, hi)
-	v.balanceDirty(tl)
-	return n
+	return int64(len(sq.Buf))
 }
 
 // ringPrefetch services one prefetch-intent SQE: the limit clamp and
@@ -428,7 +344,6 @@ func (v *VFS) ringWrite(tl *simtime.Timeline, tenant int, sq *RingSQE, pend *rin
 func (v *VFS) ringPrefetch(tl *simtime.Timeline, tenant int, sq *RingSQE,
 	pend *ringPending, wg *sync.WaitGroup, sc *readScratch) int64 {
 	f := sq.F
-	bs := v.BlockSize()
 	lo, hi := v.blockRange(sq.Off, sq.Len)
 	if fb := f.ino.Blocks(); hi > fb {
 		hi = fb
@@ -456,34 +371,16 @@ func (v *VFS) ringPrefetch(tl *simtime.Timeline, tenant int, sq *RingSQE,
 		pend.fail(ErrShed, tl.Now())
 		return 0
 	}
-	limit := v.cfg.RA.MaxPages
-	// Cross-tier prefetch: a remote-resident range earns an RTT-scaled
-	// deeper window (capped by the absolute prefetch byte budget).
-	if boost := f.rangeBoost(lo, hi); boost > 1 {
-		limit *= boost
-	}
-	if v.cfg.AllowLimitOverride && hi-lo > limit {
-		limit = hi - lo
-	}
-	if maxPages := v.cfg.MaxPrefetchBytes / bs; limit > maxPages {
-		limit = maxPages
-	}
-	preClamp := hi - lo
-	if hi-lo > limit {
-		hi = lo + limit
-	}
-	granted := hi - lo
-	v.rec.Add(telemetry.CtrKernelRequestedPages, preClamp)
-	v.rec.Add(telemetry.CtrKernelAdmittedPages, granted)
-	v.rec.Add(telemetry.CtrKernelRejectedPages, preClamp-granted)
+	// The SQE asks for its whole range; the shed above stands in for the
+	// brownout clamp.
+	hi = f.clampWindow(lo, hi, hi-lo, false)
 
 	// Per-backend congestion: only the backlog of the backends this
 	// range resolves to can postpone it.
 	if f.rangeBacklog(tl.Now(), lo, hi) > v.cfg.CongestionLimit {
 		return 0
 	}
-	missing := f.fc.AppendFastMissingRuns(tl, sc.runs[:0], lo, hi)
-	sc.runs = missing
-	v.stageRuns(tl, tenant, f, missing, pend, wg, true, sq.Arm)
-	return granted
+	sc.runs = f.fc.AppendFastMissingRuns(tl, sc.runs[:0], lo, hi)
+	v.stageRuns(tl, tenant, f, sc.runs, pend, wg, true, sq.Arm)
+	return hi - lo
 }

@@ -168,13 +168,11 @@ func TestCongestionPostponedPrefetchCompletes(t *testing.T) {
 
 // TestDemandRetryBackoffClamp: a large retry budget must not shift the
 // exponential backoff into overflow or absurd virtual waits — every
-// backoff clamps at DemandRetryMax, so 80 absorbed transient faults cost
+// backoff clamps at demandRetryMax, so 80 absorbed transient faults cost
 // at most ~80×cap of virtual time (and at least the capped tail).
 func TestDemandRetryBackoffClamp(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DemandRetries = 80
-	cfg.DemandRetryBase = 50 * simtime.Microsecond
-	cfg.DemandRetryMax = 10 * simtime.Millisecond
 	v := newSchedKernel(t, cfg, 1000)
 	tl := simtime.NewTimeline(0)
 
@@ -183,17 +181,21 @@ func TestDemandRetryBackoffClamp(t *testing.T) {
 		TransientRepeats: 80, // last retry succeeds
 		Ranges:           []faultinject.RangeFault{{Lo: 0, Hi: 1 << 40, Class: faultinject.Transient, Writes: true}},
 	}))
-	if err := v.syncWrite(tl, 0, 4096); err != nil {
+	if err := v.retrying(tl, func() error { return v.dev.Write(tl, 0, 4096) }); err != nil {
 		t.Fatalf("transient faults within budget must be absorbed: %v", err)
 	}
-	// Backoffs: 50µs<<(a-1) for attempts 1..8 (12.75ms total), then 72
-	// capped at 10ms. Unclamped, attempt 35 alone would wait ~9.9 virtual
-	// days and attempt 64 would overflow negative.
+	// Backoffs: demandRetryBase<<(a-1) for attempts 1..8 (12.75ms total
+	// at 50µs), then 72 capped at demandRetryMax (10ms). Unclamped,
+	// attempt 35 alone would wait ~9.9 virtual days and attempt 64 would
+	// overflow negative.
+	if demandRetryBase != 50*simtime.Microsecond || demandRetryMax != 10*simtime.Millisecond {
+		t.Fatalf("backoff constants %v/%v changed: recompute the bounds below", demandRetryBase, demandRetryMax)
+	}
 	elapsed := tl.Elapsed()
 	if elapsed >= simtime.Second {
 		t.Fatalf("elapsed %v: backoff escaped the clamp", elapsed)
 	}
-	if min := 72 * 10 * simtime.Millisecond; elapsed < min {
+	if min := 72 * demandRetryMax; elapsed < min {
 		t.Fatalf("elapsed %v < %v: capped backoffs not charged", elapsed, min)
 	}
 }

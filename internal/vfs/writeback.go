@@ -1,9 +1,9 @@
 package vfs
 
-// The write-side device submission paths live here, apart from the read
-// paths in vfs.go: reads can only reach the device through a StackPlug,
-// while writes — fsync's blocking lane and the cache's background
-// writeback — submit against the stack directly with Stack.Write and
+// The write-side device submission paths: reads can only reach the
+// device through a StackPlug, while writes — fsync's blocking lane
+// (Fsync, io.go) and the cache's background writeback (flushRun, here) —
+// submit against the stack directly with Stack.Write and
 // Stack.WriteAsync (Linux likewise plugs the read/readahead submission
 // paths; writeback batches through its own work lists).
 
@@ -12,25 +12,6 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/telemetry"
 )
-
-// syncWrite is Stack.Write plus bounded transient-fault retry with
-// clamped exponential virtual-time backoff — the blocking write path's
-// resilience: transient device glitches are absorbed here (charged as
-// wait time), while persistent faults and exhausted budgets surface to
-// the caller.
-func (v *VFS) syncWrite(tl *simtime.Timeline, off, bytes int64) error {
-	rp := v.retryPolicy()
-	err := v.dev.Write(tl, off, bytes)
-	for attempt := 1; err != nil && blockdev.IsTransient(err) && attempt <= rp.Max; attempt++ {
-		start := tl.Now()
-		tl.WaitUntil(start.Add(rp.Backoff(attempt)), simtime.WaitIO)
-		telemetry.Current(tl).Child("vfs.retry_backoff", telemetry.CatRetry, start, tl.Now()).
-			Annotate("attempt", int64(attempt))
-		v.rec.Add(telemetry.CtrVFSDemandRetries, 1)
-		err = v.dev.Write(tl, off, bytes)
-	}
-	return err
-}
 
 // flushRun is the page cache's dirty writeback hook: async device writes
 // for the physical segments backing logical blocks [lo, hi) of inoID,
